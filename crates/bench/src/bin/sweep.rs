@@ -17,11 +17,6 @@
 //! sweep delete <run-id> [--artifacts DIR]
 //! ```
 //!
-//! The pre-subcommand flag spellings (`--smoke`, `--full`, `--list`,
-//! `--verify <dir>`, `--delete <id>`, and bare `sweep` for `sweep run`)
-//! still work but print a deprecation note to stderr; stdout is unchanged
-//! so existing greps keep passing.
-//!
 //! Lists are comma-separated. Every (direction, max_self_corrections,
 //! timing_runs) cell of the grid becomes one record set in the artifact.
 //!
@@ -49,7 +44,7 @@
 //! scenario-cache key includes the engine, so sweeps under different
 //! engines never share cache entries.
 //!
-//! `--full` runs the paper's complete Table-IV grid — every application ×
+//! `sweep full` runs the paper's complete Table-IV grid — every application ×
 //! every model × both directions (10 × 4 × 2 = 80 scenarios per config
 //! cell) — twice through the worker pool and the scenario cache (cold, then
 //! warm), saves the artifact as `run-fullgrid/` (replacing any previous
@@ -58,25 +53,25 @@
 //! rates). The grid dimensions are fixed by definition; narrowing flags
 //! (`--models`, `--apps`, `--directions`) are rejected.
 //!
-//! `--smoke` is the self-checking CI entry point over a tiny 2-application
+//! `sweep smoke` is the self-checking CI entry point over a tiny 2-application
 //! × 1-model grid. The cold/warm measurement runs against a *throwaway*
 //! cache directory so "cold" genuinely means 0% hits and "warm" 100% — a
 //! pre-warmed shared cache must not be able to fake the cold numbers (it
 //! once did: the committed `cold_cache_hit_rate` read 1.0). A third,
 //! separate pass then goes through the persistent shared cache at
 //! `<artifacts>/cache`; because that cache survives the process, a *second*
-//! `sweep --smoke` invocation reports 100% hits on this shared pass — CI
+//! `sweep smoke` invocation reports 100% hits on this shared pass — CI
 //! asserts exactly that. The artifact is written from the shared pass and
 //! verified to round-trip (including a byte-identical table re-rendering),
 //! and the fresh-cache numbers become `BENCH_harness.json`.
 //!
-//! `--verify <run-dir>` reloads a saved artifact with the round-trip loader,
+//! `sweep verify <run-dir>` reloads a saved artifact with the round-trip loader,
 //! recomputes every summary from the records and compares it against the
 //! stored one.
 //!
-//! `--list` prints the run ids present in the artifact store, one per line.
+//! `sweep list` prints the run ids present in the artifact store, one per line.
 //!
-//! `--delete <run-id>` removes one run directory from the artifact store
+//! `sweep delete <run-id>` removes one run directory from the artifact store
 //! (the first piece of artifact GC — the same operation the server exposes
 //! as `DELETE /v1/runs/{id}`). The scenario cache is never touched.
 
@@ -91,11 +86,10 @@ use lassi_hecbench::{application, applications, Application};
 use lassi_llm::{all_models, model_by_name, ModelSpec};
 use lassi_metrics::AggregateStats;
 
-/// What the invocation asks for — one subcommand (or its legacy-flag
-/// spelling).
+/// What the invocation asks for — one subcommand.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Mode {
-    /// `sweep run` (also bare `sweep`): an arbitrary config-grid sweep.
+    /// `sweep run`: an arbitrary config-grid sweep.
     Run,
     /// `sweep full`: the paper's complete Table-IV grid, cold then warm.
     Full,
@@ -152,7 +146,7 @@ struct SweepArgs {
     apps: Vec<Application>,
     directions: Vec<Direction>,
     /// True once --models/--apps/--directions narrowed the product
-    /// (incompatible with --full, which is the full product by definition).
+    /// (incompatible with `full`, which is the full product by definition).
     narrowed: bool,
     max_self_corrections: Vec<u32>,
     timing_runs: Vec<u32>,
@@ -185,34 +179,21 @@ fn parse_list<T, E: std::fmt::Display>(
     Ok(items)
 }
 
-/// Record a mode request, rejecting contradictory ones (`sweep smoke --full`).
-fn set_mode(current: &mut Option<Mode>, requested: Mode) -> Result<(), String> {
-    match current {
-        Some(existing) if *existing != requested => Err(format!(
-            "conflicting modes: `{}` and `{}`",
-            existing.word(),
-            requested.word()
-        )),
-        _ => {
-            *current = Some(requested);
-            Ok(())
-        }
-    }
-}
-
-/// Stderr note for the pre-subcommand flag spellings. Stdout is untouched
-/// so pipelines grepping pass lines keep working.
-fn deprecation_note(old: &str, new: &str) {
-    eprintln!(
-        "sweep: note: `{old}` is deprecated; use `sweep {new}` (the old spelling still works)"
-    );
-}
+const SUBCOMMANDS: &str = "run, full, smoke, list, delete <run-id>, verify <run-dir>";
 
 fn parse_args() -> Result<SweepArgs, String> {
     let common = lassi_bench::parse_common_args(std::env::args().skip(1))?;
+    let mut iter = common.rest.clone().into_iter();
+    // The subcommand word leads; everything after it is flags (plus the
+    // operand for `delete` / `verify`).
+    let mode = iter
+        .next()
+        .as_deref()
+        .and_then(Mode::from_word)
+        .ok_or(format!("missing subcommand ({SUBCOMMANDS})"))?;
     let mut args = SweepArgs {
-        common: common.clone(),
-        mode: Mode::Run,
+        common,
+        mode,
         operand: None,
         models: all_models(),
         apps: applications(),
@@ -226,40 +207,9 @@ fn parse_args() -> Result<SweepArgs, String> {
         diag_summary: false,
         engine: None,
     };
-    let mut mode: Option<Mode> = None;
-    let mut rest = common.rest.into_iter().peekable();
-    // The subcommand word leads; everything after it is flags (plus the
-    // operand for `delete` / `verify`).
-    if let Some(word) = rest.peek().and_then(|first| Mode::from_word(first)) {
-        mode = Some(word);
-        rest.next();
-    }
-    let mut iter = rest;
     while let Some(arg) = iter.next() {
         let mut value = |flag: &str| iter.next().ok_or(format!("{flag} needs a value"));
         match arg.as_str() {
-            "--smoke" => {
-                deprecation_note("--smoke", "smoke");
-                set_mode(&mut mode, Mode::Smoke)?;
-            }
-            "--full" => {
-                deprecation_note("--full", "full");
-                set_mode(&mut mode, Mode::Full)?;
-            }
-            "--list" => {
-                deprecation_note("--list", "list");
-                set_mode(&mut mode, Mode::List)?;
-            }
-            "--verify" => {
-                deprecation_note("--verify <run-dir>", "verify <run-dir>");
-                set_mode(&mut mode, Mode::Verify)?;
-                args.operand = Some(value("--verify")?);
-            }
-            "--delete" => {
-                deprecation_note("--delete <run-id>", "delete <run-id>");
-                set_mode(&mut mode, Mode::Delete)?;
-                args.operand = Some(value("--delete")?);
-            }
             "--models" => {
                 args.models = parse_list(&value("--models")?, "model", |s| {
                     model_by_name(s).ok_or("unknown model")
@@ -307,14 +257,12 @@ fn parse_args() -> Result<SweepArgs, String> {
             }
             other if !other.starts_with('-') => {
                 // Positional operand — only `delete` / `verify` take one.
-                let takes_operand =
-                    matches!(mode, Some(Mode::Delete | Mode::Verify)) && args.operand.is_none();
+                let takes_operand = args.mode.operand_name().is_some() && args.operand.is_none();
                 if takes_operand {
                     args.operand = Some(other.to_string());
                 } else {
                     return Err(format!(
-                        "unexpected argument `{other}` (subcommands: run, full, \
-                         smoke, list, delete <run-id>, verify <run-dir>)"
+                        "unexpected argument `{other}` (subcommands: {SUBCOMMANDS})"
                     ));
                 }
             }
@@ -325,10 +273,6 @@ fn parse_args() -> Result<SweepArgs, String> {
             }
         }
     }
-    if mode.is_none() {
-        deprecation_note("bare `sweep`", "run");
-    }
-    args.mode = mode.unwrap_or(Mode::Run);
     match args.mode.operand_name() {
         Some(name) if args.operand.is_none() => {
             return Err(format!("`sweep {}` needs {name}", args.mode.word()))
@@ -445,10 +389,10 @@ fn verify_diagnostics_document(
     let doc = lassi_harness::json::parse(&text)
         .map_err(|e| format!("diagnostics.json does not parse: {e}"))?;
     let version = doc.get("v").and_then(|v| v.as_str());
-    if version != Some(lassi_lang::diag::codec::VERSION) {
+    if version != Some(lassi_harness::codec::DIAG_VERSION) {
         return Err(format!(
             "diagnostics.json schema is {version:?} (expected `{}`)",
-            lassi_lang::diag::codec::VERSION
+            lassi_harness::codec::DIAG_VERSION
         ));
     }
     let scenarios = doc
@@ -777,7 +721,7 @@ fn smoke(args: &SweepArgs) -> Result<(), String> {
     );
     let shared_harness = lassi_bench::build_harness(&args.common)?;
     if shared_harness.cache().is_none() {
-        return Err("--smoke needs the scenario cache (drop --no-cache)".into());
+        return Err("`sweep smoke` needs the scenario cache (drop --no-cache)".into());
     }
     let options = lassi_harness::HarnessOptions::default().with_workers(args.common.workers);
     let workers = options.workers;
@@ -814,7 +758,7 @@ fn smoke(args: &SweepArgs) -> Result<(), String> {
         pass_line("shared", &shared_out, shared_wall, shared_delta)
     );
     // The disk writes behind the shared pass are batched; flush them now so
-    // the next `sweep --smoke` *process* (CI's second invocation) finds
+    // the next `sweep smoke` *process* (CI's second invocation) finds
     // every entry on disk and reports the shared pass at 100% hits.
     shared_harness.flush_cache();
 
@@ -939,16 +883,18 @@ fn full_sweep(args: &SweepArgs) -> Result<(), String> {
 fn full_grid(args: &SweepArgs) -> Result<(), String> {
     if args.narrowed {
         return Err(
-            "--full runs the complete application × model × direction grid; \
+            "`sweep full` runs the complete application × model × direction grid; \
              drop --models/--apps/--directions (use --max-self-corrections / \
              --timing-runs to sweep config cells)"
                 .into(),
         );
     }
     if args.run_id.is_some() {
-        return Err("--full always writes (and replaces) run-fullgrid/; drop \
-             --run-id, or use the default sweep mode for custom run ids"
-            .into());
+        return Err(
+            "`sweep full` always writes (and replaces) run-fullgrid/; drop \
+             --run-id, or use `sweep run` for custom run ids"
+                .into(),
+        );
     }
     let mut base = PipelineConfig::default();
     if let Some(seed) = args.seed {
@@ -967,7 +913,7 @@ fn full_grid(args: &SweepArgs) -> Result<(), String> {
     };
     let harness = lassi_bench::build_harness(&args.common)?;
     if harness.cache().is_none() {
-        return Err("--full needs the scenario cache (drop --no-cache)".into());
+        return Err("`sweep full` needs the scenario cache (drop --no-cache)".into());
     }
     let workers = lassi_harness::HarnessOptions::default()
         .with_workers(args.common.workers)
@@ -984,7 +930,7 @@ fn full_grid(args: &SweepArgs) -> Result<(), String> {
 
     let ((cold_out, cold_wall, cold_delta), (_, warm_wall, warm_delta)) =
         cold_then_warm(&harness, &grid)?;
-    // Flush the batched cache writes: CI's second `--full` invocation
+    // Flush the batched cache writes: CI's second `sweep full` invocation
     // asserts its cold pass is 100% disk-cache hits.
     harness.flush_cache();
 

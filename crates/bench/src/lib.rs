@@ -12,7 +12,7 @@
 //!   without re-running anything.
 //! * **`sweep`**: arbitrary config-grid sweeps (models × apps × directions ×
 //!   `max_self_corrections` × `timing_runs`) with a persistent scenario
-//!   cache; `sweep --smoke` is the self-checking CI entry point.
+//!   cache; `sweep smoke` is the self-checking CI entry point.
 //! * **criterion benches** (`cargo bench -p lassi-bench`): `frontend`,
 //!   `simulators` and `pipeline` measure the wall-clock cost of the
 //!   front-end, the two execution substrates and the end-to-end pipeline.

@@ -1,8 +1,6 @@
 //! The evaluation driver: sweeps applications × models × directions and
 //! renders the paper's tables (IV, VI, VII and the §V summary statistics).
 
-use rayon::prelude::*;
-
 use lassi_hecbench::{applications, run_application, Application};
 use lassi_lang::Dialect;
 use lassi_llm::{all_models, ModelSpec, SimulatedLlm};
@@ -84,7 +82,7 @@ pub struct Table4Row {
 /// report the average of `timing_runs` executions.
 pub fn run_table4(config: &PipelineConfig) -> Vec<Table4Row> {
     applications()
-        .par_iter()
+        .iter()
         .map(|app| {
             let avg = |dialect| {
                 let runs = config.timing_runs.max(1);
@@ -116,23 +114,24 @@ pub fn run_direction(direction: Direction, config: &PipelineConfig) -> Vec<Trans
 /// Run a direction for an explicit set of models and applications (used by
 /// the examples and by tests that need a smaller sweep).
 ///
-/// This is the *blocking* sweep path: every scenario is a [`run_scenario`]
-/// call fanned out with `par_iter`. The `lassi-harness` crate wraps the same
-/// [`run_scenario`] entry point in a job queue with caching, streaming and
-/// cancellation — prefer it for anything interactive or repeated.
+/// This is the *blocking* reference sweep: every scenario is a
+/// [`run_scenario`] call, run one after another on the calling thread in
+/// model-major order. The `lassi-harness` crate runs the same
+/// [`run_scenario`] entry point on its worker pool, with caching, streaming
+/// and cancellation, and its tests compare against this function — prefer
+/// the harness for anything interactive, repeated or large.
 pub fn run_direction_with(
     direction: Direction,
     config: &PipelineConfig,
     models: &[ModelSpec],
     apps: &[Application],
 ) -> Vec<TranslationRecord> {
-    let scenarios: Vec<(ModelSpec, Application)> = models
+    models
         .iter()
-        .flat_map(|m| apps.iter().map(move |a| (m.clone(), a.clone())))
-        .collect();
-    scenarios
-        .par_iter()
-        .map(|(model, app)| run_scenario(model, app, direction, config))
+        .flat_map(|model| {
+            apps.iter()
+                .map(move |app| run_scenario(model, app, direction, config))
+        })
         .collect()
 }
 

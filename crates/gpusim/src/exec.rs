@@ -1,7 +1,5 @@
 //! Kernel execution: functional simulation of a CUDA launch.
 
-use rayon::prelude::*;
-
 use lassi_lang::{Expr, StmtKind, Type, VarDecl};
 use lassi_runtime::bytecode::SharedLen;
 use lassi_runtime::{
@@ -329,16 +327,10 @@ impl ParallelBackend for GpuSimulator {
 
         let segments = Self::barrier_segments(&req.kernel.body.stmts);
         let shared = Self::shared_decls(&req.kernel.body.stmts);
-        let blocks = Self::block_coords(req.grid);
-
-        let per_block: Result<Vec<CostCounter>, ExecError> = blocks
-            .par_iter()
-            .map(|&block_idx| self.run_block(req, mem, block_idx, &segments, &shared))
-            .collect();
 
         let mut cost = CostCounter::new();
-        for c in per_block? {
-            cost.merge(&c);
+        for block_idx in Self::block_coords(req.grid) {
+            cost.merge(&self.run_block(req, mem, block_idx, &segments, &shared)?);
         }
         let simulated_seconds = self.model.kernel_seconds(req.grid, req.block, &cost);
         Ok(LaunchStats {
@@ -372,15 +364,9 @@ impl ParallelBackend for GpuSimulator {
             )));
         }
 
-        let blocks = Self::block_coords(req.grid);
-        let per_block: Result<Vec<CostCounter>, ExecError> = blocks
-            .par_iter()
-            .map(|&block_idx| self.run_compiled_block(req, mem, block_idx))
-            .collect();
-
         let mut cost = CostCounter::new();
-        for c in per_block? {
-            cost.merge(&c);
+        for block_idx in Self::block_coords(req.grid) {
+            cost.merge(&self.run_compiled_block(req, mem, block_idx)?);
         }
         let simulated_seconds = self.model.kernel_seconds(req.grid, req.block, &cost);
         Ok(LaunchStats {
@@ -497,6 +483,43 @@ mod tests {
             mem.load(&sum_ptr.unwrap(), 0, true, 0).unwrap(),
             Value::Float(1000.0)
         );
+    }
+
+    #[test]
+    fn float_atomic_add_folds_blocks_in_grid_order() {
+        // Block 0 adds 1e16 first; every later 1.0 then rounds away (the
+        // spacing of doubles at 1e16 is 2). Only in-order block execution
+        // gives exactly 1e16: any two 1.0 terms landing first would show.
+        let src = r#"
+        __global__ void accumulate(double* sum) {
+            if (blockIdx.x == 0 && threadIdx.x == 0) {
+                atomicAdd(sum, 10000000000000000.0);
+            } else {
+                atomicAdd(sum, 1.0);
+            }
+        }
+        int main() {
+            double* h_sum = (double*)malloc(sizeof(double));
+            h_sum[0] = 0.0;
+            double* d_sum;
+            cudaMalloc(&d_sum, sizeof(double));
+            cudaMemcpy(d_sum, h_sum, sizeof(double), cudaMemcpyHostToDevice);
+            accumulate<<<64, 32>>>(d_sum);
+            cudaMemcpy(h_sum, d_sum, sizeof(double), cudaMemcpyDeviceToHost);
+            printf("%.1f\n", h_sum[0]);
+            return 0;
+        }
+        "#;
+        let program = parse(src, Dialect::CudaLite).unwrap();
+        let gpu = GpuSimulator::a100();
+        let config = lassi_runtime::RunConfig::default();
+        let reference = lassi_runtime::HostInterpreter::new(&program, config.clone())
+            .run(&gpu, &[])
+            .unwrap();
+        let compiled = lassi_runtime::compile(&program, 0);
+        let vm = lassi_runtime::run_compiled(&compiled, &config, &gpu, &[]).unwrap();
+        assert_eq!(reference.stdout, "10000000000000000.0\n");
+        assert_eq!(vm.stdout, reference.stdout);
     }
 
     #[test]

@@ -15,10 +15,12 @@
 //!   work or add extra transfers show the same qualitative slowdowns the
 //!   paper reports (e.g. the 20× `bsearch` regression).
 //!
-//! Thread blocks execute in parallel with rayon; threads within a block run
-//! in lock-step *segments* delimited by top-level `__syncthreads()` calls,
-//! which models barrier semantics without needing one OS thread per CUDA
-//! thread.
+//! Thread blocks execute one after another, in grid order, on the calling
+//! thread, so float `atomicAdd` results are deterministic; the harness
+//! worker pool is the only place scenarios run in parallel. Threads within a
+//! block run in lock-step *segments* delimited by top-level
+//! `__syncthreads()` calls, which models barrier semantics without needing
+//! one OS thread per CUDA thread.
 
 pub mod cost;
 pub mod device;

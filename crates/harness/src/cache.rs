@@ -11,7 +11,7 @@
 //! Two backings share one interface: a process-local in-memory map, and an
 //! optional on-disk layer (one JSON file per scenario) that lets repeated
 //! sweep *invocations* skip already-computed scenarios. Hit/miss counters
-//! prove the speedup (`sweep --smoke` asserts a warm rerun is 100% hits).
+//! prove the speedup (`sweep smoke` asserts a warm rerun is 100% hits).
 //!
 //! ## Scaling under concurrency
 //!

@@ -159,6 +159,10 @@ pub fn status_from_str(s: &str) -> Result<ScenarioStatus, CodecError> {
     }
 }
 
+/// Schema tag of the `diag.v1` diagnostics document (`diagnostics.json`),
+/// carried once by the enclosing document as its `"v"` field.
+pub const DIAG_VERSION: &str = "diag.v1";
+
 /// Serialize a [`Diagnostic`] (the `diag.v1` object shape, minus the
 /// per-object version tag — the enclosing document carries it once).
 pub fn diagnostic_to_json(d: &Diagnostic) -> Json {
@@ -664,9 +668,8 @@ mod tests {
         )
         .unwrap();
         assert_eq!(back, attempt);
-        // An uncoded diagnostic keeps its empty code verbatim — the harness
-        // codec is loss-free, unlike the lang codec which normalizes to the
-        // placeholder.
+        // An uncoded diagnostic keeps its empty code verbatim: the codec is
+        // loss-free and does not substitute the placeholder.
         let raw = Diagnostic::note(5, "fyi");
         let back =
             diagnostic_from_json(&parse(&diagnostic_to_json(&raw).to_compact()).unwrap()).unwrap();

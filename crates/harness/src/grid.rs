@@ -182,10 +182,7 @@ impl SweepGrid {
             ]));
         }
         Json::Object(vec![
-            (
-                "v".into(),
-                Json::Str(lassi_lang::diag::codec::VERSION.into()),
-            ),
+            ("v".into(), Json::Str(crate::codec::DIAG_VERSION.into())),
             ("scenarios".into(), Json::Array(scenarios)),
         ])
     }

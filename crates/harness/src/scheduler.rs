@@ -9,9 +9,12 @@
 //! order with per-job wall-clock timing split into queue wait (push → pop)
 //! and execution (pop → record). Submission order is preserved in
 //! [`JobStream::collect_ordered`], so sweeps render tables identically to
-//! the old blocking `par_iter` path. Cancellation discards queued work and
-//! lets in-flight scenarios finish. Every completion feeds the process-wide
-//! metrics registry (`lassi_jobs_completed_total`,
+//! the blocking [`lassi_core::run_direction_with`] reference sweep. The
+//! worker pool is the only place pipeline work runs in parallel: scenarios
+//! run concurrently, and everything inside one scenario (kernel blocks,
+//! work-sharing chunks) runs on its worker's thread. Cancellation discards
+//! queued work and lets in-flight scenarios finish. Every completion feeds
+//! the process-wide metrics registry (`lassi_jobs_completed_total`,
 //! `lassi_job_queue_wait_seconds`, `lassi_job_execute_seconds`).
 
 use std::sync::atomic::{AtomicBool, Ordering};

@@ -20,6 +20,7 @@
 use std::fmt;
 use std::io;
 use std::path::{Path, PathBuf};
+use std::sync::OnceLock;
 
 use lassi_core::{Table4Row, TranslationRecord};
 use lassi_metrics::AggregateStats;
@@ -109,16 +110,24 @@ pub fn is_slug(s: &str) -> bool {
 }
 
 /// Best-effort `git rev-parse --short HEAD`, for the manifest version field.
+/// Runs `git` once per process and reuses the answer: a spawn costs
+/// milliseconds on every artifact write, and all artifacts one process
+/// writes should name the same commit.
 pub fn detect_git_commit() -> Option<String> {
-    let output = std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
-        .output()
-        .ok()?;
-    if !output.status.success() {
-        return None;
-    }
-    let commit = String::from_utf8(output.stdout).ok()?.trim().to_string();
-    (!commit.is_empty()).then_some(commit)
+    static COMMIT: OnceLock<Option<String>> = OnceLock::new();
+    COMMIT
+        .get_or_init(|| {
+            let output = std::process::Command::new("git")
+                .args(["rev-parse", "--short", "HEAD"])
+                .output()
+                .ok()?;
+            if !output.status.success() {
+                return None;
+            }
+            let commit = String::from_utf8(output.stdout).ok()?.trim().to_string();
+            (!commit.is_empty()).then_some(commit)
+        })
+        .clone()
 }
 
 /// Anything that can go wrong reading an artifact back.

@@ -1,8 +1,11 @@
 //! Property tests for the `diag.v1` codec: any diagnostic the front end or
-//! semantic analyzer can emit must survive encode → parse unchanged, and the
-//! encoding must be byte-deterministic.
+//! semantic analyzer can emit must survive `diagnostic_to_json` → render →
+//! `json::parse` → `diagnostic_from_json` unchanged, and the rendering must
+//! be byte-deterministic.
 
-use lassi_lang::diag::{codec, Diagnostic, Severity};
+use lassi_harness::codec::{diagnostic_from_json, diagnostic_to_json};
+use lassi_harness::json::parse;
+use lassi_lang::{Diagnostic, Severity};
 use proptest::prelude::*;
 
 // Message shapes real emissions contain: identifiers in quotes, punctuation,
@@ -18,6 +21,11 @@ fn severity_from_index(i: u32) -> Severity {
         1 => Severity::Warning,
         _ => Severity::Error,
     }
+}
+
+fn decode(text: &str) -> Result<Diagnostic, String> {
+    let value = parse(text).map_err(|e| e.to_string())?;
+    diagnostic_from_json(&value).map_err(|e| e.to_string())
 }
 
 proptest! {
@@ -42,26 +50,29 @@ proptest! {
             d = d.with_note(note_line, note_message);
         }
 
-        let encoded = codec::encode_diagnostic(&d);
-        let back = codec::parse_diagnostic(&encoded).unwrap();
+        let encoded = diagnostic_to_json(&d).to_compact();
+        let back = decode(&encoded).unwrap();
         prop_assert_eq!(&back, &d);
 
-        // Encoding is byte-deterministic.
-        prop_assert_eq!(codec::encode_diagnostic(&back), encoded);
+        // Rendering is byte-deterministic.
+        prop_assert_eq!(diagnostic_to_json(&back).to_compact(), encoded);
 
-        // The batch form round-trips too.
-        let batch = codec::encode_diagnostics(std::slice::from_ref(&d));
-        let decoded = codec::parse_diagnostics(&batch).unwrap();
-        prop_assert_eq!(decoded, vec![d]);
+        // The pretty form decodes to the same diagnostic.
+        prop_assert_eq!(decode(&diagnostic_to_json(&d).to_pretty()).unwrap(), d);
     }
+}
 
-    #[test]
-    fn unclassified_diagnostics_round_trip_as_the_placeholder_code(
-        message in MESSAGE_PATTERN,
-    ) {
-        let d = Diagnostic::error(3, message);
-        let back = codec::parse_diagnostic(&codec::encode_diagnostic(&d)).unwrap();
-        prop_assert_eq!(back.code.as_str(), lassi_lang::diag::UNCLASSIFIED_CODE);
-        prop_assert_eq!(back.message, d.message);
+#[test]
+fn malformed_diagnostics_are_rejected() {
+    for bad in [
+        // Unknown severity.
+        r#"{"severity":"fatal","code":"c","line":0,"column":0,"message":"m","notes":[]}"#,
+        // Trailing garbage after the object.
+        r#"{"severity":"error","code":"c","line":0,"column":0,"message":"m","notes":[]} trailing"#,
+        // Not an object.
+        "[1]",
+        "\"error\"",
+    ] {
+        assert!(decode(bad).is_err(), "{bad}");
     }
 }

@@ -9,10 +9,9 @@
 //! telemetry pipeline can aggregate findings by code instead of by message
 //! text.
 //!
-//! The [`codec`] module defines the `diag.v1` JSON wire form used by the
-//! artifact store, the trace stream and the `/v1/runs/{id}/diagnostics`
-//! endpoint. It is self-contained (this crate has no JSON dependency) and
-//! byte-deterministic: the same diagnostic always encodes to the same bytes.
+//! The `diag.v1` JSON wire form used by the artifact store, the trace stream
+//! and the `/v1/runs/{id}/diagnostics` endpoint lives in
+//! `lassi_harness::codec`, next to the other artifact schemas.
 
 use std::fmt;
 
@@ -219,322 +218,6 @@ pub fn render_structured(diags: &[Diagnostic]) -> String {
     out
 }
 
-/// The `diag.v1` JSON wire form: a self-contained, dependency-free codec.
-///
-/// One diagnostic encodes to a single JSON object with a fixed field order:
-///
-/// ```json
-/// {"v":"diag.v1","severity":"error","code":"sema/undeclared-ident",
-///  "line":14,"column":3,"message":"...","notes":[{"line":2,"message":"..."}]}
-/// ```
-///
-/// Encoding is byte-deterministic; [`codec::parse_diagnostic`] accepts any
-/// JSON whitespace and decodes back to an equal [`Diagnostic`].
-pub mod codec {
-    use super::{Diagnostic, Note, Severity};
-
-    /// Schema tag carried by every encoded diagnostic.
-    pub const VERSION: &str = "diag.v1";
-
-    fn escape_into(out: &mut String, s: &str) {
-        for c in s.chars() {
-            match c {
-                '"' => out.push_str("\\\""),
-                '\\' => out.push_str("\\\\"),
-                '\n' => out.push_str("\\n"),
-                '\t' => out.push_str("\\t"),
-                '\r' => out.push_str("\\r"),
-                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-                c => out.push(c),
-            }
-        }
-    }
-
-    /// Encode one diagnostic to its compact `diag.v1` JSON object.
-    pub fn encode_diagnostic(d: &Diagnostic) -> String {
-        let mut out = String::with_capacity(96 + d.message.len());
-        out.push_str("{\"v\":\"");
-        out.push_str(VERSION);
-        out.push_str("\",\"severity\":\"");
-        out.push_str(d.severity.label());
-        out.push_str("\",\"code\":\"");
-        escape_into(&mut out, d.code_str());
-        out.push_str(&format!("\",\"line\":{},\"column\":{}", d.line, d.column));
-        out.push_str(",\"message\":\"");
-        escape_into(&mut out, &d.message);
-        out.push_str("\",\"notes\":[");
-        for (i, n) in d.notes.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("{{\"line\":{},\"message\":\"", n.line));
-            escape_into(&mut out, &n.message);
-            out.push_str("\"}");
-        }
-        out.push_str("]}");
-        out
-    }
-
-    /// Encode a batch as a JSON array of `diag.v1` objects.
-    pub fn encode_diagnostics(diags: &[Diagnostic]) -> String {
-        let mut out = String::from("[");
-        for (i, d) in diags.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&encode_diagnostic(d));
-        }
-        out.push(']');
-        out
-    }
-
-    /// A minimal JSON value, just enough to decode the `diag.v1` shape.
-    enum V {
-        Str(String),
-        Num(u64),
-        Arr(Vec<V>),
-        Obj(Vec<(String, V)>),
-    }
-
-    struct P<'a> {
-        b: &'a [u8],
-        i: usize,
-    }
-
-    impl<'a> P<'a> {
-        fn skip_ws(&mut self) {
-            while self
-                .b
-                .get(self.i)
-                .is_some_and(|c| matches!(c, b' ' | b'\t' | b'\n' | b'\r'))
-            {
-                self.i += 1;
-            }
-        }
-
-        fn eat(&mut self, c: u8) -> Result<(), String> {
-            self.skip_ws();
-            if self.b.get(self.i) == Some(&c) {
-                self.i += 1;
-                Ok(())
-            } else {
-                Err(format!(
-                    "expected '{}' at byte {} of diag.v1 input",
-                    c as char, self.i
-                ))
-            }
-        }
-
-        fn peek(&mut self) -> Option<u8> {
-            self.skip_ws();
-            self.b.get(self.i).copied()
-        }
-
-        fn value(&mut self) -> Result<V, String> {
-            match self.peek() {
-                Some(b'"') => Ok(V::Str(self.string()?)),
-                Some(b'{') => self.object(),
-                Some(b'[') => self.array(),
-                Some(c) if c.is_ascii_digit() => self.number(),
-                other => Err(format!("unexpected {other:?} in diag.v1 input")),
-            }
-        }
-
-        fn number(&mut self) -> Result<V, String> {
-            self.skip_ws();
-            let start = self.i;
-            while self.b.get(self.i).is_some_and(u8::is_ascii_digit) {
-                self.i += 1;
-            }
-            let text = std::str::from_utf8(&self.b[start..self.i]).unwrap();
-            text.parse::<u64>()
-                .map(V::Num)
-                .map_err(|_| format!("invalid number '{text}' in diag.v1 input"))
-        }
-
-        fn string(&mut self) -> Result<String, String> {
-            self.eat(b'"')?;
-            let mut out = String::new();
-            loop {
-                match self.b.get(self.i).copied() {
-                    None => return Err("unterminated string in diag.v1 input".into()),
-                    Some(b'"') => {
-                        self.i += 1;
-                        return Ok(out);
-                    }
-                    Some(b'\\') => {
-                        self.i += 1;
-                        match self.b.get(self.i).copied() {
-                            Some(b'"') => out.push('"'),
-                            Some(b'\\') => out.push('\\'),
-                            Some(b'/') => out.push('/'),
-                            Some(b'n') => out.push('\n'),
-                            Some(b't') => out.push('\t'),
-                            Some(b'r') => out.push('\r'),
-                            Some(b'b') => out.push('\u{8}'),
-                            Some(b'f') => out.push('\u{c}'),
-                            Some(b'u') => {
-                                let hex = self
-                                    .b
-                                    .get(self.i + 1..self.i + 5)
-                                    .ok_or("truncated \\u escape in diag.v1 input")?;
-                                let hex = std::str::from_utf8(hex)
-                                    .map_err(|_| "invalid \\u escape in diag.v1 input")?;
-                                let cp = u32::from_str_radix(hex, 16)
-                                    .map_err(|_| "invalid \\u escape in diag.v1 input")?;
-                                out.push(char::from_u32(cp).unwrap_or('\u{fffd}'));
-                                self.i += 4;
-                            }
-                            other => return Err(format!("bad escape {other:?} in diag.v1 input")),
-                        }
-                        self.i += 1;
-                    }
-                    Some(_) => {
-                        // Consume one complete UTF-8 character.
-                        let rest = std::str::from_utf8(&self.b[self.i..])
-                            .map_err(|_| "invalid UTF-8 in diag.v1 input")?;
-                        let c = rest.chars().next().unwrap();
-                        out.push(c);
-                        self.i += c.len_utf8();
-                    }
-                }
-            }
-        }
-
-        fn array(&mut self) -> Result<V, String> {
-            self.eat(b'[')?;
-            let mut items = Vec::new();
-            if self.peek() == Some(b']') {
-                self.i += 1;
-                return Ok(V::Arr(items));
-            }
-            loop {
-                items.push(self.value()?);
-                match self.peek() {
-                    Some(b',') => self.i += 1,
-                    Some(b']') => {
-                        self.i += 1;
-                        return Ok(V::Arr(items));
-                    }
-                    other => return Err(format!("unexpected {other:?} in diag.v1 array")),
-                }
-            }
-        }
-
-        fn object(&mut self) -> Result<V, String> {
-            self.eat(b'{')?;
-            let mut fields = Vec::new();
-            if self.peek() == Some(b'}') {
-                self.i += 1;
-                return Ok(V::Obj(fields));
-            }
-            loop {
-                let key = self.string()?;
-                self.eat(b':')?;
-                fields.push((key, self.value()?));
-                match self.peek() {
-                    Some(b',') => self.i += 1,
-                    Some(b'}') => {
-                        self.i += 1;
-                        return Ok(V::Obj(fields));
-                    }
-                    other => return Err(format!("unexpected {other:?} in diag.v1 object")),
-                }
-            }
-        }
-    }
-
-    fn get<'v>(fields: &'v [(String, V)], key: &str) -> Result<&'v V, String> {
-        fields
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v)
-            .ok_or_else(|| format!("diag.v1 object is missing field `{key}`"))
-    }
-
-    fn as_str(v: &V, what: &str) -> Result<String, String> {
-        match v {
-            V::Str(s) => Ok(s.clone()),
-            _ => Err(format!("diag.v1 field `{what}` must be a string")),
-        }
-    }
-
-    fn as_u32(v: &V, what: &str) -> Result<u32, String> {
-        match v {
-            V::Num(n) => {
-                u32::try_from(*n).map_err(|_| format!("diag.v1 field `{what}` is out of range"))
-            }
-            _ => Err(format!("diag.v1 field `{what}` must be a number")),
-        }
-    }
-
-    fn diagnostic_from_value(v: &V) -> Result<Diagnostic, String> {
-        let V::Obj(fields) = v else {
-            return Err("diag.v1 input must be a JSON object".into());
-        };
-        let version = as_str(get(fields, "v")?, "v")?;
-        if version != VERSION {
-            return Err(format!("unsupported diagnostic schema `{version}`"));
-        }
-        let severity_label = as_str(get(fields, "severity")?, "severity")?;
-        let severity = Severity::from_label(&severity_label)
-            .ok_or_else(|| format!("unknown severity `{severity_label}`"))?;
-        let mut notes = Vec::new();
-        if let V::Arr(items) = get(fields, "notes")? {
-            for item in items {
-                let V::Obj(nf) = item else {
-                    return Err("diag.v1 note must be a JSON object".into());
-                };
-                notes.push(Note {
-                    line: as_u32(get(nf, "line")?, "notes.line")?,
-                    message: as_str(get(nf, "message")?, "notes.message")?,
-                });
-            }
-        } else {
-            return Err("diag.v1 field `notes` must be an array".into());
-        }
-        Ok(Diagnostic {
-            severity,
-            code: as_str(get(fields, "code")?, "code")?,
-            line: as_u32(get(fields, "line")?, "line")?,
-            column: as_u32(get(fields, "column")?, "column")?,
-            message: as_str(get(fields, "message")?, "message")?,
-            notes,
-        })
-    }
-
-    /// Decode one `diag.v1` JSON object.
-    pub fn parse_diagnostic(text: &str) -> Result<Diagnostic, String> {
-        let mut p = P {
-            b: text.as_bytes(),
-            i: 0,
-        };
-        let v = p.value()?;
-        p.skip_ws();
-        if p.i != p.b.len() {
-            return Err("trailing bytes after diag.v1 object".into());
-        }
-        diagnostic_from_value(&v)
-    }
-
-    /// Decode a JSON array of `diag.v1` objects.
-    pub fn parse_diagnostics(text: &str) -> Result<Vec<Diagnostic>, String> {
-        let mut p = P {
-            b: text.as_bytes(),
-            i: 0,
-        };
-        let v = p.value()?;
-        p.skip_ws();
-        if p.i != p.b.len() {
-            return Err("trailing bytes after diag.v1 array".into());
-        }
-        let V::Arr(items) = v else {
-            return Err("diag.v1 batch must be a JSON array".into());
-        };
-        items.iter().map(diagnostic_from_value).collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -601,55 +284,5 @@ mod tests {
     fn structured_rendering_substitutes_unclassified_code() {
         let out = render_structured(&[Diagnostic::error(0, "boom")]);
         assert_eq!(out, "error[diag/unclassified]: boom");
-    }
-
-    #[test]
-    fn diag_v1_round_trips() {
-        let d = Diagnostic::error(14, "message with \"quotes\" and \\slashes\\ and\nnewlines")
-            .with_code("sema/undeclared-ident")
-            .with_column(3)
-            .with_note(2, "declared\there");
-        let encoded = codec::encode_diagnostic(&d);
-        let back = codec::parse_diagnostic(&encoded).unwrap();
-        assert_eq!(back, d);
-        // Deterministic bytes.
-        assert_eq!(codec::encode_diagnostic(&back), encoded);
-    }
-
-    #[test]
-    fn diag_v1_batch_round_trips() {
-        let diags = vec![
-            Diagnostic::warning(1, "w").with_code("sema/omp-runtime-in-cuda"),
-            Diagnostic::error(0, "e"),
-        ];
-        let text = codec::encode_diagnostics(&diags);
-        let mut back = codec::parse_diagnostics(&text).unwrap();
-        // An unclassified code round-trips as the explicit placeholder.
-        assert_eq!(back[1].code, UNCLASSIFIED_CODE);
-        back[1].code = String::new();
-        assert_eq!(back, diags);
-    }
-
-    #[test]
-    fn diag_v1_rejects_malformed_input() {
-        for bad in [
-            "",
-            "{",
-            "[1]",
-            "{\"v\":\"diag.v2\"}",
-            "{\"v\":\"diag.v1\",\"severity\":\"fatal\",\"code\":\"c\",\"line\":0,\"column\":0,\"message\":\"m\",\"notes\":[]}",
-            "{\"v\":\"diag.v1\",\"severity\":\"error\",\"code\":\"c\",\"line\":0,\"column\":0,\"message\":\"m\",\"notes\":[]} trailing",
-        ] {
-            assert!(codec::parse_diagnostic(bad).is_err(), "{bad}");
-        }
-    }
-
-    #[test]
-    fn diag_v1_accepts_whitespace() {
-        let text = "{ \"v\" : \"diag.v1\", \"severity\": \"note\",\n  \"code\": \"x/y\", \"line\": 1, \"column\": 2,\n  \"message\": \"m\", \"notes\": [ ] }";
-        let d = codec::parse_diagnostic(text).unwrap();
-        assert_eq!(d.severity, Severity::Note);
-        assert_eq!(d.code, "x/y");
-        assert_eq!(d.column, 2);
     }
 }

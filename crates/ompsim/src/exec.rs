@@ -1,7 +1,5 @@
 //! Work-sharing loop execution for the simulated OpenMP runtime.
 
-use rayon::prelude::*;
-
 use lassi_lang::{ReductionOp, Type};
 use lassi_runtime::{
     CompiledParallelFor, ControlFlow, CostCounter, EvalContext, Evaluator, ExecError, LaunchStats,
@@ -16,9 +14,11 @@ const MAX_SIMULATED_ITERATIONS: u64 = 8_000_000;
 /// Per-worker step budget.
 const WORKER_STEP_LIMIT: u64 = 50_000_000;
 
-/// Number of functional execution chunks used to run a region (chunks run in
-/// parallel with rayon; this is a simulation detail, independent of the
-/// *modelled* thread count that drives the cost model).
+/// Number of functional execution chunks used to run a region. Chunks run one
+/// after another on the calling thread and their partial reductions combine
+/// in chunk order, so float reductions and `omp atomic` updates are
+/// deterministic. This is a simulation detail, independent of the *modelled*
+/// thread count that drives the cost model.
 const EXEC_CHUNKS: u64 = 64;
 
 /// The simulated OpenMP runtime. Implements [`ParallelBackend`] for
@@ -147,11 +147,8 @@ impl ParallelBackend for OmpSimulator {
         // Functional execution over chunks of the iteration space.
         let chunk_count = EXEC_CHUNKS.min(iterations.max(1));
         let chunk_size = iterations.div_ceil(chunk_count).max(1);
-        let chunk_ids: Vec<u64> = (0..chunk_count).collect();
-
-        let results: Result<Vec<ChunkResult>, ExecError> = chunk_ids
-            .par_iter()
-            .map(|&chunk| {
+        let results: Result<Vec<ChunkResult>, ExecError> = (0..chunk_count)
+            .map(|chunk| {
                 let first = chunk * chunk_size;
                 let last = ((chunk + 1) * chunk_size).min(iterations);
                 if first >= last {
@@ -275,11 +272,8 @@ impl ParallelBackend for OmpSimulator {
         // Functional execution over chunks of the iteration space.
         let chunk_count = EXEC_CHUNKS.min(iterations.max(1));
         let chunk_size = iterations.div_ceil(chunk_count).max(1);
-        let chunk_ids: Vec<u64> = (0..chunk_count).collect();
-
-        let results: Result<Vec<ChunkResult>, ExecError> = chunk_ids
-            .par_iter()
-            .map(|&chunk| {
+        let results: Result<Vec<ChunkResult>, ExecError> = (0..chunk_count)
+            .map(|chunk| {
                 let first = chunk * chunk_size;
                 let last = ((chunk + 1) * chunk_size).min(iterations);
                 if first >= last {
@@ -477,6 +471,42 @@ mod tests {
         )
         .unwrap();
         assert_eq!(report.stdout, "1000.0\n");
+    }
+
+    #[test]
+    fn float_atomic_update_folds_chunks_in_order() {
+        // Iteration 0 adds 1e16 first; every later 1.0 then rounds away (the
+        // spacing of doubles at 1e16 is 2). Only in-order chunk execution
+        // gives exactly 1e16: any two 1.0 terms landing first would show.
+        let src = r#"
+            int main() {
+                int n = 2048;
+                double* total = (double*)malloc(1 * sizeof(double));
+                total[0] = 0.0;
+                #pragma omp parallel for
+                for (int i = 0; i < n; i++) {
+                    double term = 1.0;
+                    if (i == 0) { term = 10000000000000000.0; }
+                    #pragma omp atomic
+                    total[0] += term;
+                }
+                printf("%.1f\n", total[0]);
+                free(total);
+                return 0;
+            }
+            "#;
+        let reference = run_omp(src).unwrap();
+        let program = parse(src, Dialect::OmpLite).unwrap();
+        let compiled = lassi_runtime::compile(&program, 0);
+        let vm = lassi_runtime::run_compiled(
+            &compiled,
+            &RunConfig::default(),
+            &OmpSimulator::a100_offload(),
+            &[],
+        )
+        .unwrap();
+        assert_eq!(reference.stdout, "10000000000000000.0\n");
+        assert_eq!(vm.stdout, reference.stdout);
     }
 
     #[test]

@@ -6,8 +6,7 @@
 //! program the way the LASSI paper runs benchmark binaries:
 //!
 //! * [`value::Value`] / [`memory::Memory`] — typed scalars, host and device
-//!   buffers backed by atomic cells so device backends may execute thread
-//!   blocks in parallel,
+//!   buffers backed by atomic cells behind one shared handle,
 //! * [`eval::Evaluator`] — the statement/expression evaluator shared by host
 //!   code, CUDA kernels and OpenMP regions,
 //! * [`interp::HostInterpreter`] — runs `main`, services the CUDA runtime API

@@ -3,9 +3,10 @@
 //! Every allocation (`malloc`, `cudaMalloc`, stack arrays, `__shared__`
 //! arrays, OpenMP-mapped sections) becomes a [`Buffer`] of 64-bit atomic
 //! cells. Buffer *contents* are accessed through atomics and the buffer
-//! *table* is guarded by an `RwLock`, so the GPU simulator can execute thread
-//! blocks in parallel with rayon while host code allocates and frees through
-//! the same shared [`Memory`] handle without any unsafe code.
+//! *table* is guarded by an `RwLock`. That gives interior mutability through
+//! the one shared `&Memory` handle that host code, kernel blocks and
+//! work-sharing chunks all load, store and allocate through, without any
+//! unsafe code.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
