@@ -6,12 +6,10 @@
 //! sweep run  [--models L] [--apps L] [--directions L|both]
 //!            [--max-self-corrections L] [--timing-runs L] [--seed N]
 //!            [--run-id ID] [--artifacts DIR] [--no-cache] [--workers N]
-//!            [--timings] [--diag-summary] [--engine bytecode|reference]
+//!            [--timings] [--diag-summary]
 //! sweep full [--max-self-corrections L] [--timing-runs L] [--seed N]
 //!            [--artifacts DIR] [--workers N] [--timings] [--diag-summary]
-//!            [--engine bytecode|reference]
 //! sweep smoke [--artifacts DIR] [--workers N] [--diag-summary]
-//!             [--engine bytecode|reference]
 //! sweep verify <run-dir>
 //! sweep list [--artifacts DIR]
 //! sweep delete <run-id> [--artifacts DIR]
@@ -36,13 +34,9 @@
 //! from the same records the artifact stores, so it always agrees with
 //! `diagnostics.json`.
 //!
-//! `--engine` picks the execution engine for every compile-and-run step:
-//! `bytecode` (the default — each checked program lowers to register
-//! bytecode once, cached process-wide, and runs on the dispatch-loop VM) or
-//! `reference` (the original tree-walking interpreter, kept for
-//! differential comparison). Both produce bit-identical reports; the
-//! scenario-cache key includes the engine, so sweeps under different
-//! engines never share cache entries.
+//! Every compile-and-run step runs on the bytecode VM: each checked program
+//! lowers to register bytecode once, cached process-wide, and runs on the
+//! dispatch-loop VM; the tree-walking interpreter is a test oracle only.
 //!
 //! `sweep full` runs the paper's complete Table-IV grid — every application ×
 //! every model × both directions (10 × 4 × 2 = 80 scenarios per config
@@ -77,7 +71,7 @@
 
 use std::time::Instant;
 
-use lassi_core::{direction_table, scenario_outcomes, Direction, ExecEngine, PipelineConfig};
+use lassi_core::{direction_table, scenario_outcomes, Direction, PipelineConfig};
 use lassi_harness::codec::record_to_json;
 use lassi_harness::{
     CacheSnapshot, GridCell, Harness, Job, JobOutput, Json, RunArtifact, SweepGrid,
@@ -156,9 +150,6 @@ struct SweepArgs {
     timings: bool,
     /// Print the per-code structured-findings table after the sweep.
     diag_summary: bool,
-    /// Execution engine override (`--engine`); `None` keeps the
-    /// `PipelineConfig` default (bytecode, or `LASSI_ENGINE` if set).
-    engine: Option<ExecEngine>,
 }
 
 fn parse_list<T, E: std::fmt::Display>(
@@ -205,7 +196,6 @@ fn parse_args() -> Result<SweepArgs, String> {
         run_id: None,
         timings: false,
         diag_summary: false,
-        engine: None,
     };
     while let Some(arg) = iter.next() {
         let mut value = |flag: &str| iter.next().ok_or(format!("{flag} needs a value"));
@@ -248,13 +238,6 @@ fn parse_args() -> Result<SweepArgs, String> {
             "--run-id" => args.run_id = Some(value("--run-id")?),
             "--timings" => args.timings = true,
             "--diag-summary" => args.diag_summary = true,
-            "--engine" => {
-                let raw = value("--engine")?;
-                args.engine = Some(
-                    ExecEngine::parse(&raw)
-                        .ok_or(format!("bad engine `{raw}` (use bytecode / reference)"))?,
-                );
-            }
             other if !other.starts_with('-') => {
                 // Positional operand — only `delete` / `verify` take one.
                 let takes_operand = args.mode.operand_name().is_some() && args.operand.is_none();
@@ -703,13 +686,10 @@ fn write_trajectory(
 }
 
 fn smoke(args: &SweepArgs) -> Result<(), String> {
-    let mut base = PipelineConfig {
+    let base = PipelineConfig {
         timing_runs: 1,
         ..PipelineConfig::default()
     };
-    if let Some(engine) = args.engine {
-        base.engine = engine;
-    }
     let grid = SweepGrid::single(
         base,
         vec![model_by_name("GPT-4").expect("GPT-4 exists")],
@@ -823,9 +803,6 @@ fn full_sweep(args: &SweepArgs) -> Result<(), String> {
     if let Some(seed) = args.seed {
         base.seed = seed;
     }
-    if let Some(engine) = args.engine {
-        base.engine = engine;
-    }
     let grid = SweepGrid {
         base,
         models: args.models.clone(),
@@ -899,9 +876,6 @@ fn full_grid(args: &SweepArgs) -> Result<(), String> {
     let mut base = PipelineConfig::default();
     if let Some(seed) = args.seed {
         base.seed = seed;
-    }
-    if let Some(engine) = args.engine {
-        base.engine = engine;
     }
     let grid = SweepGrid {
         base,

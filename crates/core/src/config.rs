@@ -18,50 +18,11 @@ pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
     hash
 }
 
-/// Which execution engine runs benchmark programs.
-///
-/// Both engines produce bit-identical [`lassi_runtime::ExecutionReport`]s;
-/// the choice only affects wall-clock speed (and which code path is
-/// exercised). The reference interpreter is kept for differential testing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ExecEngine {
-    /// Lower each checked program to register bytecode once (cached
-    /// process-wide) and execute it on the dispatch-loop VM. The default.
-    #[default]
-    Bytecode,
-    /// The original tree-walking interpreter (`lassi_runtime::reference`).
-    Reference,
-}
-
-impl ExecEngine {
-    /// Engine selected by the `LASSI_ENGINE` environment variable
-    /// (`reference` or `bytecode`); defaults to [`ExecEngine::Bytecode`].
-    pub fn from_env() -> Self {
-        match std::env::var("LASSI_ENGINE").as_deref() {
-            Ok("reference") => ExecEngine::Reference,
-            _ => ExecEngine::Bytecode,
-        }
-    }
-
-    /// Parse an engine name (`bytecode` / `reference`).
-    pub fn parse(name: &str) -> Option<Self> {
-        match name {
-            "bytecode" => Some(ExecEngine::Bytecode),
-            "reference" => Some(ExecEngine::Reference),
-            _ => None,
-        }
-    }
-
-    /// Stable label used in cache keys, metrics and CLI output.
-    pub fn label(self) -> &'static str {
-        match self {
-            ExecEngine::Bytecode => "bytecode",
-            ExecEngine::Reference => "reference",
-        }
-    }
-}
-
 /// Knobs for the LASSI pipeline.
+///
+/// Every compile-and-run step lowers the checked program to register
+/// bytecode and runs it on the VM; the tree-walking interpreter is reachable
+/// only from tests, as the oracle the VM is compared against.
 #[derive(Debug, Clone)]
 pub struct PipelineConfig {
     /// Maximum number of self-correction iterations (compile + execute
@@ -75,8 +36,6 @@ pub struct PipelineConfig {
     /// Number of timed executions averaged for the reported runtime (the
     /// paper averages three runs).
     pub timing_runs: u32,
-    /// Execution engine for every compile-and-run step.
-    pub engine: ExecEngine,
 }
 
 impl Default for PipelineConfig {
@@ -86,7 +45,6 @@ impl Default for PipelineConfig {
             seed: 20240704,
             run_config: lassi_hecbench::Machine::run_config(),
             timing_runs: 3,
-            engine: ExecEngine::from_env(),
         }
     }
 }

@@ -23,7 +23,7 @@ pub mod experiment;
 pub mod pipeline;
 pub mod progcache;
 
-pub use config::{ExecEngine, PipelineConfig};
+pub use config::PipelineConfig;
 pub use experiment::{
     direction_table, run_direction, run_direction_with, run_scenario, run_table4,
     scenario_outcomes, table4_text, Direction, Table4Row,

@@ -9,9 +9,9 @@ use lassi_llm::prompts::{extract_code_block, PromptDictionary};
 use lassi_llm::ChatModel;
 use lassi_metrics::{runtime_ratio, with_engine};
 use lassi_obs::Histogram;
-use lassi_runtime::{ExecutionReport, HostInterpreter, ParallelBackend};
+use lassi_runtime::{ExecutionReport, ParallelBackend};
 
-use crate::config::{ExecEngine, PipelineConfig};
+use crate::config::PipelineConfig;
 
 /// The instrumented pipeline stages, in execution order. Each stage's time
 /// accumulates into the `lassi_stage_seconds{stage="..."}` histogram of the
@@ -201,15 +201,12 @@ impl<M: ChatModel> Lassi<M> {
     /// way the paper averages three runs. Returns the last report with the
     /// averaged runtime substituted.
     ///
-    /// With [`ExecEngine::Bytecode`] the checked program is lowered to
-    /// register bytecode first (cached process-wide, so each distinct program
-    /// compiles once per sweep) and the VM runs it; execution reports are
-    /// memoized per (program, config, machine) — the simulator is
-    /// deterministic, so the grid's timing repeats and cross-scenario
-    /// re-runs of the same program replay the first run's report bit for
-    /// bit instead of re-executing it. With [`ExecEngine::Reference`] the
-    /// tree-walking interpreter runs the AST directly every time. Reports
-    /// are bit-identical either way.
+    /// The checked program is lowered to register bytecode first (cached
+    /// process-wide, so each distinct program compiles once per sweep) and
+    /// the VM runs it; execution reports are memoized per (program, config,
+    /// machine) — the simulator is deterministic, so the grid's timing
+    /// repeats and cross-scenario re-runs of the same program replay the
+    /// first run's report bit for bit instead of re-executing it.
     ///
     /// On success the compile's non-fatal warnings ride along so callers can
     /// record them; on failure the coded diagnostics come back attached to
@@ -232,41 +229,28 @@ impl<M: ChatModel> Lassi<M> {
         let runs = self.config.timing_runs.max(1);
         let mut last: Option<ExecutionReport> = None;
         let mut total = 0.0;
-        match self.config.engine {
-            ExecEngine::Bytecode => {
-                let compiled = timed(&self.stages.compile, || {
-                    crate::progcache::get_or_compile(program, &self.config.run_config, 0)
-                });
-                let run_key = crate::progcache::report_key(
-                    crate::progcache::cache_key(program, &self.config.run_config, 0),
-                    self.machine.name(),
-                );
-                for _ in 0..runs {
-                    let report = timed(&self.stages.execute, || {
-                        crate::progcache::get_or_run(run_key, || {
-                            lassi_runtime::run_compiled(
-                                &compiled,
-                                &self.config.run_config,
-                                &self.machine,
-                                &[],
-                            )
-                            .map_err(|e| e.to_string())
-                        })
-                    })
-                    .map_err(&exec_failure)?;
-                    total += report.simulated_seconds;
-                    last = Some(report);
-                }
-            }
-            ExecEngine::Reference => {
-                for _ in 0..runs {
-                    let mut interp = HostInterpreter::new(program, self.config.run_config.clone());
-                    let report = timed(&self.stages.execute, || interp.run(&self.machine, &[]))
-                        .map_err(|e| exec_failure(e.to_string()))?;
-                    total += report.simulated_seconds;
-                    last = Some(report);
-                }
-            }
+        let compiled = timed(&self.stages.compile, || {
+            crate::progcache::get_or_compile(program, &self.config.run_config, 0)
+        });
+        let run_key = crate::progcache::report_key(
+            crate::progcache::cache_key(program, &self.config.run_config, 0),
+            self.machine.name(),
+        );
+        for _ in 0..runs {
+            let report = timed(&self.stages.execute, || {
+                crate::progcache::get_or_run(run_key, || {
+                    lassi_runtime::run_compiled(
+                        &compiled,
+                        &self.config.run_config,
+                        &self.machine,
+                        &[],
+                    )
+                    .map_err(|e| e.to_string())
+                })
+            })
+            .map_err(&exec_failure)?;
+            total += report.simulated_seconds;
+            last = Some(report);
         }
         let mut report = last.expect("at least one run");
         report.simulated_seconds = total / runs as f64;
@@ -531,6 +515,7 @@ mod tests {
     use super::*;
     use lassi_hecbench::application;
     use lassi_llm::{models, SimulatedLlm};
+    use lassi_runtime::HostInterpreter;
 
     /// A perfect model: no faults are ever injected (probabilities forced to 0).
     fn perfect_model() -> SimulatedLlm {
@@ -562,27 +547,71 @@ mod tests {
         }
     }
 
+    /// Run `source` on the tree-walking interpreter `config.timing_runs`
+    /// times and average the simulated clock the way `compile_and_run` does.
+    fn interpreter_oracle(
+        source: &str,
+        dialect: Dialect,
+        config: &PipelineConfig,
+    ) -> ExecutionReport {
+        let program = parse(source, dialect).expect("oracle input parses");
+        let machine = Machine::a100();
+        let runs = config.timing_runs.max(1);
+        let mut total = 0.0;
+        let mut last = None;
+        for _ in 0..runs {
+            let mut interp = HostInterpreter::new(&program, config.run_config.clone());
+            let report = interp.run(&machine, &[]).expect("oracle run succeeds");
+            total += report.simulated_seconds;
+            last = Some(report);
+        }
+        let mut report = last.expect("at least one run");
+        report.simulated_seconds = total / runs as f64;
+        report
+    }
+
     #[test]
-    fn bytecode_and_reference_engines_produce_identical_records() {
-        // End-to-end differential check through the whole pipeline: the
-        // bytecode engine (compiled-program cache + memoized deterministic
-        // execution reports) must reproduce the reference interpreter's
-        // TranslationRecord exactly — status, runtimes, ratio, similarity
-        // scores and token accounting.
+    fn vm_pipeline_records_match_interpreter_oracle() {
+        // End-to-end differential check through the whole pipeline: every
+        // runtime the VM-backed pipeline records (compiled-program cache +
+        // memoized deterministic execution reports) must equal, bit for
+        // bit, what the reference interpreter measures for the same source,
+        // reference and generated programs, and the interpreter's stdout
+        // must give the same output-match verdict.
         let app = application("entropy").unwrap();
+        let config = PipelineConfig::default();
         for source in [Dialect::CudaLite, Dialect::OmpLite] {
-            let mut records = Vec::new();
-            for engine in [ExecEngine::Bytecode, ExecEngine::Reference] {
-                let config = PipelineConfig {
-                    engine,
-                    ..PipelineConfig::default()
-                };
-                let mut pipeline = Lassi::new(perfect_model(), config);
-                records.push(pipeline.translate_application(&app, source));
-            }
+            let target = source.other();
+            let mut pipeline = Lassi::new(perfect_model(), config.clone());
+            let record = pipeline.translate_application(&app, source);
+            assert_eq!(record.status, ScenarioStatus::Success, "{source:?}");
+
+            let baseline = interpreter_oracle(app.source(source), source, &config);
+            let reference = interpreter_oracle(app.source(target), target, &config);
+            let generated = interpreter_oracle(
+                record.generated_code.as_deref().expect("generated code"),
+                target,
+                &config,
+            );
             assert_eq!(
-                records[0], records[1],
-                "engines disagree for source {source:?}"
+                record.source_runtime.to_bits(),
+                baseline.simulated_seconds.to_bits(),
+                "source runtime, {source:?}"
+            );
+            assert_eq!(
+                record.reference_runtime.to_bits(),
+                reference.simulated_seconds.to_bits(),
+                "reference runtime, {source:?}"
+            );
+            assert_eq!(
+                record.generated_runtime.map(f64::to_bits),
+                Some(generated.simulated_seconds.to_bits()),
+                "generated runtime, {source:?}"
+            );
+            assert_eq!(
+                normalize_output(&generated.stdout) == normalize_output(&reference.stdout),
+                record.status != ScenarioStatus::OutputMismatch,
+                "output-match verdict, {source:?}"
             );
         }
     }

@@ -58,7 +58,10 @@ fn report_cache() -> &'static Mutex<HashMap<u64, CachedRun>> {
 pub struct ProgramCacheStats {
     /// Lookups answered from the cache.
     pub hits: u64,
-    /// Lookups that had to compile.
+    /// Compiles (or runs) actually performed: every lookup that found no
+    /// entry, including a concurrent first sight that duplicated another
+    /// thread's work. `misses − entries` is that duplicated work
+    /// (perfbench reports it as `core.report_cache.dup_runs`).
     pub misses: u64,
     /// Distinct compiled programs currently cached.
     pub entries: u64,
@@ -103,7 +106,8 @@ pub fn get_or_compile(program: &Program, config: &RunConfig, argc: usize) -> Arc
         return Arc::clone(found);
     }
     // Compile outside the lock; concurrent first-sights of the same program
-    // may compile twice, but only one result is retained (and counted).
+    // may compile twice. Every compile performed counts as a miss, but only
+    // the first result is retained as the entry.
     let compiled = Arc::new(lassi_runtime::compile(program, argc));
     MISSES.fetch_add(1, Ordering::Relaxed);
     let mut map = cache().lock().unwrap();
@@ -138,7 +142,8 @@ pub fn get_or_run(key: u64, run: impl FnOnce() -> CachedRun) -> CachedRun {
         return found.clone();
     }
     // Execute outside the lock; concurrent first-sights of the same program
-    // may run twice, but only one result is retained (and counted).
+    // may run twice. Every run performed counts as a miss, but only the
+    // first result is retained as the entry.
     let outcome = run();
     REPORT_MISSES.fetch_add(1, Ordering::Relaxed);
     let mut map = report_cache().lock().unwrap();

@@ -90,15 +90,15 @@ impl ScenarioKey {
 /// (v2: the Sim-T tokenizer stopped gluing `.` into identifiers, shifting
 /// similarity scores; v3: executions moved to the bytecode VM and the key
 /// gained the engine token; v4: repair prompts render structured coded
-/// diagnostics and records carry per-attempt diagnostic history), so stale
-/// disk entries miss instead of resurfacing scores the current code would
-/// never produce.
+/// diagnostics and records carry per-attempt diagnostic history; v5: the
+/// bytecode VM became the only production engine and the engine token was
+/// dropped), so stale disk entries miss instead of resurfacing scores the
+/// current code would never produce.
 pub fn scenario_key(job: &Job) -> ScenarioKey {
     let config = &job.config;
     let canonical = format!(
-        "v4;engine={};app={};cuda={:016x};omp={:016x};model={};dir={};seed={};msc={};runs={};\
+        "v5;app={};cuda={:016x};omp={:016x};model={};dir={};seed={};msc={};runs={};\
          step={};hostop={:016x};startup={:016x}",
-        config.engine.label(),
         job.application.name,
         fnv1a64(job.application.cuda_source.as_bytes()),
         fnv1a64(job.application.omp_source.as_bytes()),
@@ -471,6 +471,21 @@ mod tests {
         let mut other_model = job("layout", 40);
         other_model.model.profile.p_compile_fault += 0.01;
         assert_ne!(base, scenario_key(&other_model), "model profile");
+    }
+
+    /// `scenario_key(&job("layout", 40))` at key version v5.
+    const SCENARIO_KEY_PIN: u64 = 0x666e_7d78_982a_8f3e;
+
+    #[test]
+    fn scenario_key_is_pinned() {
+        // The key addresses every on-disk cache entry; this pin catches any
+        // accidental change to its canonical string (which would silently
+        // orphan every cached record). Bump the version tag and regenerate
+        // by printing the value if the key changes deliberately.
+        assert_eq!(
+            scenario_key(&job("layout", 40)),
+            ScenarioKey(SCENARIO_KEY_PIN)
+        );
     }
 
     #[test]

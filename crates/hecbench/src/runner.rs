@@ -6,8 +6,8 @@ use lassi_gpusim::GpuSimulator;
 use lassi_lang::{Dialect, Program};
 use lassi_ompsim::OmpSimulator;
 use lassi_runtime::{
-    CompiledKernelLaunch, CompiledParallelFor, ExecError, ExecutionReport, HostInterpreter,
-    KernelLaunchRequest, LaunchStats, Memory, ParallelBackend, ParallelForRequest, RunConfig,
+    CompiledKernelLaunch, CompiledParallelFor, ExecError, ExecutionReport, KernelLaunchRequest,
+    LaunchStats, Memory, ParallelBackend, ParallelForRequest, RunConfig,
 };
 
 use crate::apps::Application;
@@ -113,19 +113,9 @@ impl std::fmt::Display for RunError {
 
 impl std::error::Error for RunError {}
 
-/// Compile (semantic-check) and execute an already-parsed program on the
-/// default machine.
+/// Compile (semantic-check), lower to register bytecode and execute an
+/// already-parsed program on the default machine's bytecode VM.
 pub fn run_program(program: &Program) -> Result<ExecutionReport, RunError> {
-    lassi_sema::compile(program).map_err(RunError::Compile)?;
-    let machine = Machine::a100();
-    let mut interp = HostInterpreter::new(program, Machine::run_config());
-    interp.run(&machine, &[]).map_err(RunError::Execute)
-}
-
-/// Like [`run_program`], but through the bytecode engine: semantic-check,
-/// lower to register bytecode and execute on the default machine. Reports are
-/// bit-identical to [`run_program`]'s.
-pub fn run_program_compiled(program: &Program) -> Result<ExecutionReport, RunError> {
     lassi_sema::compile(program).map_err(RunError::Compile)?;
     let machine = Machine::a100();
     let compiled = lassi_runtime::compile(program, 0);
@@ -148,6 +138,7 @@ pub fn run_application(app: &Application, dialect: Dialect) -> Result<ExecutionR
 mod tests {
     use super::*;
     use crate::apps::application;
+    use lassi_runtime::HostInterpreter;
 
     #[test]
     fn bsearch_openmp_is_faster_than_cuda() {
@@ -196,8 +187,10 @@ mod tests {
         for app in crate::apps::applications() {
             for dialect in [Dialect::CudaLite, Dialect::OmpLite] {
                 let program = lassi_lang::parse(app.source(dialect), dialect).unwrap();
-                let reference = run_program(&program);
-                let compiled = run_program_compiled(&program);
+                let reference = HostInterpreter::new(&program, Machine::run_config())
+                    .run(&Machine::a100(), &[])
+                    .map_err(RunError::Execute);
+                let compiled = run_program(&program);
                 match (reference, compiled) {
                     (Ok(a), Ok(b)) => {
                         let tag = format!("{} ({dialect:?})", app.name);

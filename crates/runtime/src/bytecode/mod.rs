@@ -9,7 +9,7 @@
 //! chain or a hash map in the hot path.
 //!
 //! The engine is observationally identical to the tree-walking interpreter in
-//! [`crate::eval`] / [`crate::interp`] (kept as `lassi_runtime::reference`):
+//! [`crate::eval`] / [`crate::interp`] (kept as the test oracle):
 //! same stdout, same cost counters, same memory stats, same simulated time
 //! and — load-bearing, because `omp_get_wtime` derives its reading from the
 //! step counter — the same step count at every observation point. The

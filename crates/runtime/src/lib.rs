@@ -18,15 +18,14 @@
 //! * [`cost::CostCounter`] + simulated-time accounting so each run reports a
 //!   deterministic runtime in seconds for the Table IV/VI/VII reproductions.
 //!
-//! ## Execution engines
+//! ## Execution engine and test oracle
 //!
-//! Two engines share the same observables and error surface:
-//!
-//! * [`bytecode`] — the default: lowers the checked AST once into flat
-//!   register bytecode ([`bytecode::compile`]) and executes it on a
-//!   dispatch-loop VM ([`bytecode::Vm`]) with preallocated register frames.
-//! * [`reference`] — the original tree-walking interpreter, kept as the
-//!   semantic reference the VM is differentially tested against.
+//! [`bytecode`] is the one production engine: it lowers the checked AST once
+//! into flat register bytecode ([`bytecode::compile`]) and executes it on a
+//! dispatch-loop VM ([`bytecode::Vm`]) with preallocated register frames.
+//! The tree-walking interpreter ([`eval`] / [`interp`]) is kept unchanged as
+//! the test oracle the VM is differentially tested against; it shares the
+//! VM's observables and error surface, but no production path selects it.
 
 pub mod backend;
 pub mod bytecode;
@@ -38,16 +37,6 @@ pub mod interp;
 pub mod memory;
 pub mod printf;
 pub mod value;
-
-/// The tree-walking interpreter, preserved verbatim as the semantic
-/// reference for the bytecode engine. `reference::Evaluator` and
-/// `reference::HostInterpreter` are the same items as [`eval::Evaluator`]
-/// and [`interp::HostInterpreter`]; the alias exists so call sites can say
-/// which engine they mean.
-pub mod reference {
-    pub use crate::eval::{ControlFlow, EvalContext, Evaluator};
-    pub use crate::interp::HostInterpreter;
-}
 
 pub use backend::{
     CompiledKernelLaunch, CompiledParallelFor, KernelLaunchRequest, LaunchStats, ParallelBackend,

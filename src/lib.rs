@@ -62,7 +62,7 @@ pub mod prelude {
     pub use lassi_lang::{parse, print_program, Dialect};
     pub use lassi_llm::{all_models, model_by_name, ChatModel, SimulatedLlm};
     pub use lassi_metrics::{sim_l, sim_t, AggregateStats};
-    pub use lassi_runtime::{ExecutionReport, HostInterpreter, RunConfig};
+    pub use lassi_runtime::{ExecutionReport, RunConfig};
 }
 
 #[cfg(test)]
