@@ -73,7 +73,7 @@
 
 use std::time::{Duration, Instant};
 
-use lassi_harness::Json;
+use lassi_harness::{FleetStats, Json};
 use lassi_server::http;
 use lassi_server::http::ClientConnection;
 use rand::rngs::StdRng;
@@ -619,10 +619,7 @@ struct FleetScale {
     workers: usize,
     scenarios: u64,
     wall_seconds: f64,
-    leases_granted: u64,
-    leases_expired: u64,
-    jobs_requeued: u64,
-    duplicate_completions: u64,
+    fleet: FleetStats,
 }
 
 /// The current value of the unlabelled `lassi_fleet_workers_active` gauge
@@ -735,16 +732,12 @@ fn run_fleet_scale(args: &LoadgenArgs, workers: usize, seed: u64) -> Result<Flee
         let fleet = view
             .get("fleet")
             .filter(|v| !matches!(v, Json::Null))
-            .ok_or("fleet run view lacks lease accounting; did the run drain locally?")?;
-        let count = |name: &str| fleet.get(name).and_then(Json::as_u64).unwrap_or(0);
+            .ok_or("fleet run view lacks lease accounting")?;
         Ok(FleetScale {
             workers,
             scenarios,
             wall_seconds,
-            leases_granted: count("leases_granted"),
-            leases_expired: count("leases_expired"),
-            jobs_requeued: count("jobs_requeued"),
-            duplicate_completions: count("duplicate_completions"),
+            fleet: FleetStats::from_json(fleet),
         })
     })();
     for mut child in children {
@@ -1061,10 +1054,10 @@ fn run(args: &LoadgenArgs) -> Result<(), String> {
             scale.scenarios,
             scale.wall_seconds,
             scale.scenarios as f64 / scale.wall_seconds.max(1e-9),
-            scale.leases_granted,
-            scale.leases_expired,
-            scale.jobs_requeued,
-            scale.duplicate_completions,
+            scale.fleet.leases_granted,
+            scale.fleet.leases_expired,
+            scale.fleet.jobs_requeued,
+            scale.fleet.duplicate_completions,
         );
         fleet_scaling.push(scale);
     }
@@ -1237,7 +1230,7 @@ fn write_bench(
                 fleet_scaling
                     .iter()
                     .map(|scale| {
-                        Json::Object(vec![
+                        let mut fields = vec![
                             ("workers".into(), Json::Int(scale.workers as i128)),
                             ("scenarios".into(), Json::uint(scale.scenarios)),
                             ("wall_seconds".into(), Json::Float(scale.wall_seconds)),
@@ -1245,14 +1238,11 @@ fn write_bench(
                                 "scenarios_per_second".into(),
                                 Json::Float(scale.scenarios as f64 / scale.wall_seconds.max(1e-9)),
                             ),
-                            ("leases_granted".into(), Json::uint(scale.leases_granted)),
-                            ("leases_expired".into(), Json::uint(scale.leases_expired)),
-                            ("jobs_requeued".into(), Json::uint(scale.jobs_requeued)),
-                            (
-                                "duplicate_completions".into(),
-                                Json::uint(scale.duplicate_completions),
-                            ),
-                        ])
+                        ];
+                        if let Json::Object(counts) = scale.fleet.to_json() {
+                            fields.extend(counts);
+                        }
+                        Json::Object(fields)
                     })
                     .collect(),
             ),

@@ -23,10 +23,11 @@
 //! once and `--sweep-executors` sets how many accepted sweeps may execute
 //! concurrently (each one still fans out over `--workers` threads).
 //!
-//! When remote workers are polling `/v1/work/lease`, queued runs drain
-//! through the fleet instead of the local pool; `--lease-ttl-ms` sets how
-//! long a granted lease lives without a heartbeat before its jobs are
-//! reclaimed (short TTLs make chaos suites reclaim dead workers fast).
+//! Every running sweep's jobs are leased out: to remote workers polling
+//! `/v1/work/lease` while any is live, otherwise to the local pool;
+//! `--lease-ttl-ms` sets how long a granted lease lives without a heartbeat
+//! before its jobs are reclaimed (short TTLs make chaos suites reclaim dead
+//! workers fast).
 
 use std::sync::Arc;
 use std::time::Duration;

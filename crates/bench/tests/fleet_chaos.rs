@@ -141,18 +141,22 @@ fn chaos_fleet_drains_the_grid_byte_identically_to_the_local_pool() {
     let (addr, join, _state) = start_server(&root);
     let store = ArtifactStore::new(&root);
 
-    // Baseline: no workers are registered, so the run drains through the
-    // local pool exactly as before the fleet existed.
+    // Baseline: no workers are registered, so the local pool leases the
+    // whole grid in one batch and settles it.
     let total = submit_grid(addr, "baseline");
     assert_eq!(
         total, 80,
         "the paper's full product is the 80-scenario grid"
     );
     let baseline_view = poll_done(addr, "baseline");
+    let one_local_lease = lassi_harness::json::parse(
+        r#"{"leases_granted": 1, "leases_expired": 0, "jobs_requeued": 0, "duplicate_completions": 0}"#,
+    )
+    .expect("literal parses");
     assert_eq!(
         baseline_view.get("fleet"),
-        Some(&Json::Null),
-        "a local-pool run reports no fleet accounting"
+        Some(&one_local_lease),
+        "a local-pool run holds one local-pool lease"
     );
     let baseline_sets = record_sets(&store.run_dir("baseline"));
     assert!(

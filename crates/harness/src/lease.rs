@@ -1,11 +1,13 @@
-//! The lease table behind the remote worker fleet.
+//! The lease table every server run is drained through.
 //!
-//! When remote workers drain a run, every batch of scenario jobs they pull
-//! travels under a *time-bounded lease*: `POST /v1/work/lease` grants one,
-//! heartbeats extend it, and `POST /v1/work/complete` settles it. A worker
-//! that dies or stalls simply stops heartbeating — its lease expires, is
-//! reclaimed, and the jobs it held go back to the requeue set for another
-//! worker. Because the simulator is deterministic, re-executing a requeued
+//! Each executing run's scenario jobs are handed out in batches, and every
+//! batch travels under a *time-bounded lease*. Remote workers take one with
+//! `POST /v1/work/lease`, extend it with heartbeats and settle it with
+//! `POST /v1/work/complete`; the server's local pool is one more consumer,
+//! leasing all pending jobs under the worker name `local-pool` while no
+//! remote worker is live. A worker that dies or stalls simply stops
+//! heartbeating — its lease expires, is reclaimed, and the jobs it held go
+//! back to the requeue set for another consumer. Because the simulator is deterministic, re-executing a requeued
 //! job reproduces the identical record, so duplicate completions (a stale
 //! worker settling a lease that was already reclaimed) are resolved
 //! first-write-wins without ever changing the artifact.

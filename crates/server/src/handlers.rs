@@ -249,7 +249,7 @@ fn metrics(state: &AppState) -> Response {
     registry
         .counter(
             "lassi_leases_granted_total",
-            "Work leases granted to remote workers.",
+            "Work leases granted to remote workers and the local pool.",
             &[],
         )
         .record_total(fleet.leases_granted);
@@ -277,7 +277,7 @@ fn metrics(state: &AppState) -> Response {
     registry
         .counter(
             "lassi_remote_records_accepted_total",
-            "Records accepted from remote workers as a job's first write.",
+            "Records accepted from remote workers (POST /v1/work/complete) as a job's first write.",
             &[],
         )
         .record_total(fleet.records_accepted);
@@ -298,17 +298,17 @@ fn metrics(state: &AppState) -> Response {
     registry
         .gauge(
             "lassi_fleet_leases_active",
-            "Leases currently held by workers across draining runs.",
+            "Leases currently held by workers or the local pool across draining runs.",
             &[],
         )
         .set(fleet.leases_active as i64);
     registry
         .gauge(
             "lassi_fleet_remote_runs",
-            "Runs currently being drained by the worker fleet.",
+            "Executing runs, each draining through its lease table (fleet or local pool).",
             &[],
         )
-        .set(fleet.remote_runs as i64);
+        .set(fleet.leased_runs as i64);
     Response {
         status: 200,
         content_type: "text/plain; version=0.0.4",
@@ -481,18 +481,7 @@ fn run_view(status: &RunStatus) -> Json {
         ("reason".into(), Json::opt_str(status.reason.as_deref())),
         (
             "fleet".into(),
-            match &status.fleet {
-                Some(f) => Json::Object(vec![
-                    ("leases_granted".into(), Json::uint(f.leases_granted)),
-                    ("leases_expired".into(), Json::uint(f.leases_expired)),
-                    ("jobs_requeued".into(), Json::uint(f.jobs_requeued)),
-                    (
-                        "duplicate_completions".into(),
-                        Json::uint(f.duplicate_completions),
-                    ),
-                ]),
-                None => Json::Null,
-            },
+            status.fleet.map_or(Json::Null, |f| f.to_json()),
         ),
     ])
 }

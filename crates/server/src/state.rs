@@ -2,19 +2,24 @@
 //! cache) and one [`ArtifactStore`], plus the machinery behind asynchronous
 //! sweep submission — a registry of run resources ([`RunStatus`] per run), a
 //! bounded queue of accepted runs, and the background sweep-executor thread
-//! pool that pulls queued runs and feeds them through the job scheduler.
+//! pool that pulls queued runs and drains them.
 //!
 //! Submission ([`AppState::submit_sweep`]) only validates, reserves the run
 //! directory, persists `state.json` (`queued`) and enqueues — constant-time
 //! regardless of grid size, which is what lets `POST /v1/sweeps` answer
 //! `202 Accepted` in milliseconds. Executors own the expensive part: they
-//! advance runs `queued → running`, stream scenario outputs (counting live
-//! progress), write the artifact and land the run in a terminal state, with
-//! every transition persisted beside the artifact.
+//! advance runs `queued → running`, write the artifact and land the run in a
+//! terminal state, with every transition persisted beside the artifact.
+//!
+//! Every executing run is drained one way: its jobs are published as a
+//! [`LeaseTable`] (persisted as `leases.json`), and lease consumers settle
+//! them first-write-wins. Remote workers lease through `/v1/work/*`; the
+//! local worker pool is one more consumer, leasing every pending job to
+//! `local-pool` whenever no worker is live. Each job is handed out once and
+//! then settled or reclaimed exactly once, whoever runs it.
 
 use std::collections::{HashMap, VecDeque};
 use std::io;
-use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
@@ -22,8 +27,8 @@ use std::time::{Duration, Instant};
 
 use lassi_core::TranslationRecord;
 use lassi_harness::{
-    ArtifactStore, CancelToken, FleetStats, Harness, Job, JobOutput, JobWrite, LeaseError,
-    LeaseTable, RunArtifact, RunState, RunStatus, ScannedRun, SweepGrid,
+    ArtifactStore, CancelToken, Harness, Job, JobOutput, JobWrite, LeaseError, LeaseTable,
+    RunArtifact, RunState, RunStatus, ScannedRun, SweepGrid,
 };
 use lassi_obs::{EventRing, TraceEvent, TraceSink};
 use parking_lot::{Condvar, Mutex};
@@ -51,9 +56,12 @@ pub const DEFAULT_LEASE_TTL_MS: u64 = 10_000;
 /// `/v1/work/*` call) is fresher than this many lease TTLs.
 const WORKER_LIVENESS_TTLS: u64 = 3;
 
-/// How often an executor draining a run through the fleet sweeps for
-/// expired leases (and re-checks cancellation/completion).
+/// How often an executor waiting on the fleet sweeps for expired leases
+/// (and re-checks cancellation/completion).
 const RECLAIM_INTERVAL: Duration = Duration::from_millis(100);
+
+/// The worker name the local pool leases under.
+const LOCAL_POOL: &str = "local-pool";
 
 /// Why [`AppState::submit_sweep`] refused a sweep.
 #[derive(Debug)]
@@ -103,7 +111,7 @@ pub struct LeaseGrant {
 /// Point-in-time fleet accounting for `/v1/metrics`.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct FleetSnapshot {
-    /// Leases granted since the process started.
+    /// Leases granted since the process started (remote and local-pool).
     pub leases_granted: u64,
     /// Leases expired (deadline missed or corrupt completion) and reclaimed.
     pub leases_expired: u64,
@@ -111,16 +119,16 @@ pub struct FleetSnapshot {
     pub jobs_requeued: u64,
     /// Records dropped first-write-wins.
     pub duplicate_completions: u64,
-    /// Records accepted as a job's first write.
+    /// Records from `POST /v1/work/complete` accepted as a first write.
     pub records_accepted: u64,
     /// Heartbeat extensions served.
     pub heartbeats: u64,
     /// Workers that contacted the server within the liveness window.
     pub workers_active: u64,
-    /// Leases currently held by workers across all draining runs.
+    /// Leases currently held by workers or the local pool.
     pub leases_active: u64,
-    /// Runs currently being drained by the fleet.
-    pub remote_runs: u64,
+    /// Executing runs, each draining through its lease table.
+    pub leased_runs: u64,
 }
 
 /// Process-wide fleet counters behind [`FleetSnapshot`].
@@ -134,13 +142,32 @@ struct FleetCounters {
     heartbeats: AtomicU64,
 }
 
-/// A run being drained by remote workers: the lease table plus the
-/// first-write-wins record slots the completions land in.
-struct RemoteRun {
+impl FleetCounters {
+    /// Count `leases` reclaimed leases that requeued `jobs` jobs.
+    fn reclaimed(&self, leases: u64, jobs: usize) {
+        self.leases_expired.fetch_add(leases, Ordering::Relaxed);
+        self.jobs_requeued.fetch_add(jobs as u64, Ordering::Relaxed);
+    }
+}
+
+/// An executing run as its lease consumers see it: the lease table plus
+/// one first-write-wins output slot per job index.
+struct LeasedRun {
     run_id: String,
     jobs: Vec<Job>,
     table: Mutex<LeaseTable>,
-    records: Mutex<Vec<Option<TranslationRecord>>>,
+    outputs: Mutex<Vec<Option<JobOutput>>>,
+}
+
+impl LeasedRun {
+    fn new(run_id: &str, jobs: &[Job]) -> LeasedRun {
+        LeasedRun {
+            run_id: run_id.to_string(),
+            jobs: jobs.to_vec(),
+            table: Mutex::new(LeaseTable::new(run_id, jobs.len())),
+            outputs: Mutex::new(vec![None; jobs.len()]),
+        }
+    }
 }
 
 /// Check a completion body against the jobs its lease holds: the record
@@ -229,8 +256,8 @@ pub struct AppState {
     busy_executors: AtomicUsize,
     /// Size of the executor pool once started.
     executor_count: AtomicUsize,
-    /// Runs currently drained by the fleet (lease/work calls search these).
-    remote_runs: Mutex<Vec<Arc<RemoteRun>>>,
+    /// Every executing run's lease table (lease/work calls search these).
+    leased_runs: Mutex<Vec<Arc<LeasedRun>>>,
     /// Worker id → last contact, for fleet liveness.
     workers: Mutex<HashMap<String, Instant>>,
     /// Lease time-to-live handed to workers.
@@ -258,7 +285,7 @@ impl AppState {
             events: EventRing::new(DEBUG_EVENT_CAPACITY),
             busy_executors: AtomicUsize::new(0),
             executor_count: AtomicUsize::new(0),
-            remote_runs: Mutex::new(Vec::new()),
+            leased_runs: Mutex::new(Vec::new()),
             workers: Mutex::new(HashMap::new()),
             lease_ttl_ms: AtomicU64::new(DEFAULT_LEASE_TTL_MS),
             fleet: FleetCounters::default(),
@@ -284,12 +311,11 @@ impl AppState {
     }
 
     /// Record a run-lifecycle transition as a structured trace event: into
-    /// the process-wide debug ring always, and into the run's own trace
-    /// sink (re-stamped on the run's submission-relative clock) when the
-    /// run still has a live registry entry.
+    /// the process-wide debug ring and into the run's own trace sink
+    /// (re-stamped on the run's submission-relative clock).
     fn record_transition(
         &self,
-        entry: Option<&RunEntry>,
+        entry: &RunEntry,
         run_id: &str,
         state: RunState,
         reason: Option<&str>,
@@ -300,12 +326,30 @@ impl AppState {
         if let Some(reason) = reason {
             event = event.with("reason", reason);
         }
-        if let Some(entry) = entry {
-            let mut run_event = event.clone();
-            run_event.t_us = entry.trace.now_us();
-            entry.trace.push(run_event);
-        }
+        let mut run_event = event.clone();
+        run_event.t_us = entry.trace.now_us();
+        entry.trace.push(run_event);
         self.events.push(event);
+    }
+
+    /// Land a live run in its terminal `state` (with `reason`, if any),
+    /// persist `state.json` and trace the transition. The caller holds the
+    /// run's status lock.
+    fn finish_run(
+        &self,
+        entry: &RunEntry,
+        run_id: &str,
+        status: &mut RunStatus,
+        state: RunState,
+        reason: Option<&str>,
+    ) {
+        match reason {
+            Some(reason) => status.finish(state, reason),
+            None => status.advance(state),
+        }
+        .expect("a live run may always finish");
+        let _ = status.save(&self.store.run_dir(run_id));
+        self.record_transition(entry, run_id, state, reason);
     }
 
     /// The shared experiment service.
@@ -342,16 +386,20 @@ impl AppState {
     }
 
     /// Is at least one worker live (contacted the server within the
-    /// liveness window)? Decides whether a popped run is drained by the
-    /// fleet or by the local pool — with zero registered workers this is
-    /// always false and the server behaves exactly as it did without the
-    /// work-pull protocol.
+    /// liveness window)? While none is, an executor leases its run's
+    /// pending jobs to the local pool instead of waiting for the fleet.
     pub fn fleet_available(&self) -> bool {
+        self.workers_active() > 0
+    }
+
+    /// Workers that contacted the server within the liveness window.
+    fn workers_active(&self) -> u64 {
         let window = Duration::from_millis(self.lease_ttl_ms() * WORKER_LIVENESS_TTLS);
-        self.workers
-            .lock()
+        let workers = self.workers.lock();
+        workers
             .values()
-            .any(|last| last.elapsed() <= window)
+            .filter(|last| last.elapsed() <= window)
+            .count() as u64
     }
 
     /// Record a `/v1/work/*` contact from a worker (implicit registration:
@@ -375,30 +423,30 @@ impl AppState {
     }
 
     /// `POST /v1/work/lease`: register the worker and hand it a batch of
-    /// up to `capacity` jobs from the first fleet-drained run with pending
+    /// up to `capacity` jobs from the first executing run with pending
     /// work. `None` means no work right now — the worker should back off
     /// and poll again.
     pub fn lease_work(&self, worker: &str, capacity: usize) -> Option<LeaseGrant> {
         self.touch_worker(worker);
         let ttl_ms = self.lease_ttl_ms();
         let now_ms = unix_now_ms();
-        let remote_runs: Vec<Arc<RemoteRun>> = self.remote_runs.lock().clone();
-        for remote in remote_runs {
-            let mut table = remote.table.lock();
+        let leased_runs: Vec<Arc<LeasedRun>> = self.leased_runs.lock().clone();
+        for leased in leased_runs {
+            let mut table = leased.table.lock();
             let Some(lease) = table.grant(worker, capacity, now_ms, ttl_ms) else {
                 continue;
             };
             let grant = LeaseGrant {
                 lease_id: lease.lease_id.clone(),
-                run_id: remote.run_id.clone(),
+                run_id: leased.run_id.clone(),
                 ttl_ms,
                 jobs: lease
                     .jobs
                     .iter()
-                    .map(|&index| (index, remote.jobs[index].clone()))
+                    .map(|&index| (index, leased.jobs[index].clone()))
                     .collect(),
             };
-            let _ = table.save(&self.store.run_dir(&remote.run_id));
+            let _ = table.save(&self.store.run_dir(&leased.run_id));
             drop(table);
             self.fleet.leases_granted.fetch_add(1, Ordering::Relaxed);
             self.lease_event(
@@ -421,10 +469,10 @@ impl AppState {
         self.touch_worker(worker);
         let ttl_ms = self.lease_ttl_ms();
         let now_ms = unix_now_ms();
-        let remote_runs: Vec<Arc<RemoteRun>> = self.remote_runs.lock().clone();
+        let leased_runs: Vec<Arc<LeasedRun>> = self.leased_runs.lock().clone();
         let mut refusal = LeaseError::UnknownLease(lease_id.to_string());
-        for remote in remote_runs {
-            match remote.table.lock().heartbeat(lease_id, now_ms, ttl_ms) {
+        for leased in leased_runs {
+            match leased.table.lock().heartbeat(lease_id, now_ms, ttl_ms) {
                 Ok(_) => {
                     self.fleet.heartbeats.fetch_add(1, Ordering::Relaxed);
                     return Ok(ttl_ms);
@@ -450,40 +498,31 @@ impl AppState {
         records: Vec<TranslationRecord>,
     ) -> Result<(usize, usize), CompleteError> {
         self.touch_worker(worker);
-        let remote_runs: Vec<Arc<RemoteRun>> = self.remote_runs.lock().clone();
-        let remote = remote_runs
+        let leased_runs: Vec<Arc<LeasedRun>> = self.leased_runs.lock().clone();
+        // A lease's job set never changes, so it can be read before the
+        // table is locked for the settle.
+        let (leased, held) = leased_runs
             .into_iter()
-            .find(|remote| {
-                remote
-                    .table
-                    .lock()
-                    .leases()
-                    .iter()
-                    .any(|l| l.lease_id == lease_id)
+            .find_map(|leased| {
+                let table = leased.table.lock();
+                let lease = table.leases().iter().find(|l| l.lease_id == lease_id)?;
+                let held = lease.jobs.clone();
+                drop(table);
+                Some((leased, held))
             })
             .ok_or_else(|| CompleteError::UnknownLease(lease_id.to_string()))?;
-        let dir = self.store.run_dir(&remote.run_id);
+        let dir = self.store.run_dir(&leased.run_id);
 
-        let mut table = remote.table.lock();
-        let leased: Vec<usize> = table
-            .leases()
-            .iter()
-            .find(|l| l.lease_id == lease_id)
-            .expect("lease found above")
-            .jobs
-            .clone();
-        if let Err(reason) = validate_completion(&leased, &remote.jobs, &records) {
+        let mut table = leased.table.lock();
+        if let Err(reason) = validate_completion(&held, &leased.jobs, &records) {
             // Fail-and-requeue only an active lease; a stale corrupt
             // completion (lease already reclaimed) is simply dropped.
             if let Ok(requeued) = table.fail_lease(lease_id) {
-                self.fleet.leases_expired.fetch_add(1, Ordering::Relaxed);
-                self.fleet
-                    .jobs_requeued
-                    .fetch_add(requeued.len() as u64, Ordering::Relaxed);
+                self.fleet.reclaimed(1, requeued.len());
                 let _ = table.save(&dir);
                 self.lease_event(
                     "failed",
-                    &remote.run_id,
+                    &leased.run_id,
                     lease_id,
                     worker,
                     requeued.len() as u64,
@@ -498,11 +537,18 @@ impl AppState {
         let mut accepted = 0usize;
         let mut duplicates = 0usize;
         {
-            let mut slots = remote.records.lock();
+            let mut slots = leased.outputs.lock();
             for (index, record) in jobs.into_iter().zip(records) {
                 match table.record_job(index) {
                     JobWrite::Fresh => {
-                        slots[index] = Some(record);
+                        slots[index] = Some(JobOutput {
+                            index,
+                            direction: leased.jobs[index].direction,
+                            record,
+                            wall_seconds: 0.0,
+                            queue_seconds: 0.0,
+                            from_cache: false,
+                        });
                         accepted += 1;
                     }
                     JobWrite::Duplicate => duplicates += 1,
@@ -519,7 +565,7 @@ impl AppState {
             .fetch_add(duplicates as u64, Ordering::Relaxed);
         self.lease_event(
             "completed",
-            &remote.run_id,
+            &leased.run_id,
             lease_id,
             worker,
             accepted as u64,
@@ -529,15 +575,8 @@ impl AppState {
 
     /// Point-in-time fleet accounting for the metrics endpoint.
     pub fn fleet_snapshot(&self) -> FleetSnapshot {
-        let window = Duration::from_millis(self.lease_ttl_ms() * WORKER_LIVENESS_TTLS);
-        let workers_active = self
-            .workers
-            .lock()
-            .values()
-            .filter(|last| last.elapsed() <= window)
-            .count() as u64;
-        let remote_runs = self.remote_runs.lock().clone();
-        let leases_active = remote_runs
+        let leased_runs = self.leased_runs.lock().clone();
+        let leases_active = leased_runs
             .iter()
             .map(|r| r.table.lock().active_leases() as u64)
             .sum();
@@ -548,9 +587,9 @@ impl AppState {
             duplicate_completions: self.fleet.duplicate_completions.load(Ordering::Relaxed),
             records_accepted: self.fleet.records_accepted.load(Ordering::Relaxed),
             heartbeats: self.fleet.heartbeats.load(Ordering::Relaxed),
-            workers_active,
+            workers_active: self.workers_active(),
             leases_active,
-            remote_runs: remote_runs.len() as u64,
+            leased_runs: leased_runs.len() as u64,
         }
     }
 
@@ -604,7 +643,7 @@ impl AppState {
             trace: TraceSink::new(),
         });
         self.runs.lock().insert(run_id.clone(), Arc::clone(&entry));
-        self.record_transition(Some(&entry), &run_id, RunState::Queued, None);
+        self.record_transition(&entry, &run_id, RunState::Queued, None);
         {
             let mut queue = self.queue.lock();
             if !queue.open {
@@ -708,16 +747,8 @@ impl AppState {
         match status.state {
             RunState::Queued => {
                 entry.cancel_requested.store(true, Ordering::SeqCst);
-                status
-                    .finish(RunState::Cancelled, "cancelled by client before start")
-                    .expect("queued → cancelled is legal");
-                let _ = status.save(&self.store.run_dir(id));
-                self.record_transition(
-                    Some(&entry),
-                    id,
-                    RunState::Cancelled,
-                    Some("cancelled by client before start"),
-                );
+                let reason = Some("cancelled by client before start");
+                self.finish_run(&entry, id, &mut status, RunState::Cancelled, reason);
                 Ok(status.clone())
             }
             RunState::Running => {
@@ -753,16 +784,8 @@ impl AppState {
             if let Some(entry) = self.runs.lock().get(&run.run_id).cloned() {
                 let mut status = entry.status.lock();
                 if status.state == RunState::Queued {
-                    status
-                        .finish(RunState::Failed, "server drained before the run started")
-                        .expect("queued → failed is legal");
-                    let _ = status.save(&self.store.run_dir(&run.run_id));
-                    self.record_transition(
-                        Some(&entry),
-                        &run.run_id,
-                        RunState::Failed,
-                        Some("server drained before the run started"),
-                    );
+                    let reason = Some("server drained before the run started");
+                    self.finish_run(&entry, &run.run_id, &mut status, RunState::Failed, reason);
                 }
             }
         }
@@ -885,17 +908,13 @@ impl AppState {
         self.busy_executors.fetch_sub(1, Ordering::Relaxed);
         if outcome.is_err() {
             eprintln!("lassi-server: sweep `{run_id}` panicked");
+            // A panic mid-drain skipped unpublishing the run's lease table.
+            self.leased_runs.lock().retain(|r| r.run_id != run_id);
             if let Some(entry) = self.runs.lock().get(&run_id).cloned() {
                 let mut status = entry.status.lock();
                 if !status.state.is_terminal() {
-                    let _ = status.finish(RunState::Failed, "sweep panicked; see server log");
-                    let _ = status.save(&self.store.run_dir(&run_id));
-                    self.record_transition(
-                        Some(&entry),
-                        &run_id,
-                        RunState::Failed,
-                        Some("sweep panicked; see server log"),
-                    );
+                    let reason = Some("sweep panicked; see server log");
+                    self.finish_run(&entry, &run_id, &mut status, RunState::Failed, reason);
                 }
             }
         }
@@ -918,33 +937,19 @@ impl AppState {
             *entry.started.lock() = Some(Instant::now());
             let _ = status.save(&dir);
         }
-        self.record_transition(Some(&entry), &run.run_id, RunState::Running, None);
+        self.record_transition(&entry, &run.run_id, RunState::Running, None);
 
-        // The per-run cache delta is measured around the submission; under
+        // The per-run cache delta is measured around the drain; under
         // concurrent runs the counters interleave, so the delta is
         // attributed, not exact — /v1/cache/stats has the authoritative
         // totals.
         let jobs = run.grid.jobs();
-        let total = jobs.len();
         let before = self.harness.cache_snapshot();
-        // Scheduling mode: a live worker fleet drains the run through the
-        // lease table; otherwise (the zero-worker fleet) the local pool
-        // does, exactly as before the work-pull protocol existed.
-        let (outputs, fleet) = if total > 0 && self.fleet_available() {
-            self.drain_remote(run, &entry, &jobs)
-        } else {
-            (self.drain_local(&entry, &jobs), None)
-        };
+        let (outputs, table) = self.drain(&run.run_id, &entry, &jobs);
 
-        let wall = entry
-            .started
-            .lock()
-            .map(|started| started.elapsed().as_secs_f64());
-        let mut status = entry.status.lock();
-        status.completed = outputs.len();
-        status.wall_seconds = wall;
-        status.fleet = fleet;
-        if outputs.len() == total {
+        // Write the artifact before taking the status lock, so polls of a
+        // finishing run never wait on the file system.
+        let (state, reason) = if outputs.len() == jobs.len() {
             let delta = self.harness.cache_snapshot().since(before);
             // The completion event goes into the sink *before* the artifact
             // write, so it makes it into `trace.jsonl`; the terminal
@@ -963,162 +968,87 @@ impl AppState {
                 delta,
                 &entry.trace.snapshot(),
             ) {
-                Ok(_) => {
-                    status
-                        .advance(RunState::Done)
-                        .expect("running → done is legal");
-                    self.record_transition(Some(&entry), &run.run_id, RunState::Done, None);
-                }
-                Err(e) => {
-                    let reason = format!("cannot write artifact: {e}");
-                    let _ = status.finish(RunState::Failed, reason.clone());
-                    self.record_transition(
-                        Some(&entry),
-                        &run.run_id,
-                        RunState::Failed,
-                        Some(&reason),
-                    );
-                }
+                Ok(_) => (RunState::Done, None),
+                Err(e) => (
+                    RunState::Failed,
+                    Some(format!("cannot write artifact: {e}")),
+                ),
             }
         } else if entry.cancel_requested.load(Ordering::SeqCst) {
-            let _ = status.finish(RunState::Cancelled, "cancelled by client");
-            self.record_transition(
-                Some(&entry),
-                &run.run_id,
-                RunState::Cancelled,
-                Some("cancelled by client"),
-            );
+            (RunState::Cancelled, Some("cancelled by client".to_string()))
         } else {
-            let _ = status.finish(
-                RunState::Failed,
-                "server drained mid-run; partial outputs discarded",
-            );
-            self.record_transition(
-                Some(&entry),
-                &run.run_id,
-                RunState::Failed,
-                Some("server drained mid-run; partial outputs discarded"),
-            );
-        }
-        let _ = status.save(&dir);
+            let reason = "server drained mid-run; partial outputs discarded";
+            (RunState::Failed, Some(reason.to_string()))
+        };
+        // Saved after the artifact write, which replaces the run directory.
+        let _ = table.save(&dir);
+        let wall = entry
+            .started
+            .lock()
+            .map(|started| started.elapsed().as_secs_f64());
+        let mut status = entry.status.lock();
+        status.completed = outputs.len();
+        status.wall_seconds = wall;
+        status.fleet = Some(table.stats());
+        self.finish_run(&entry, &run.run_id, &mut status, state, reason.as_deref());
     }
 
-    /// Drain a run through the local worker pool (the pre-fleet path).
-    fn drain_local(&self, entry: &RunEntry, jobs: &[Job]) -> Vec<JobOutput> {
-        let stream = self.harness.submit(jobs.to_vec());
-        let token = stream.cancel_token();
-        *entry.cancel.lock() = Some(token.clone());
-        // Re-check after publishing the token: a cancel or drain that raced
-        // in before the token existed must still take effect.
-        if entry.cancel_requested.load(Ordering::SeqCst) || self.shutting_down() {
-            token.cancel();
-        }
-        let mut outputs = Vec::with_capacity(jobs.len());
-        for output in stream {
-            outputs.push(output);
-            entry.completed.fetch_add(1, Ordering::Relaxed);
-        }
-        *entry.cancel.lock() = None;
-        outputs
-    }
-
-    /// Drain a run through the worker fleet: publish a lease table, let
-    /// `/v1/work/*` hand out and settle leases, and sweep expired leases
-    /// back into the requeue set until every job has its record (or the
-    /// run is cancelled/drained). If the whole fleet goes dark mid-run the
-    /// remaining jobs fall back to the local pool — graceful degradation
-    /// in the other direction.
-    fn drain_remote(
-        &self,
-        run: &QueuedRun,
-        entry: &RunEntry,
-        jobs: &[Job],
-    ) -> (Vec<JobOutput>, Option<FleetStats>) {
-        let total = jobs.len();
-        let dir = self.store.run_dir(&run.run_id);
-        let remote = Arc::new(RemoteRun {
-            run_id: run.run_id.clone(),
-            jobs: jobs.to_vec(),
-            table: Mutex::new(LeaseTable::new(&run.run_id, total)),
-            records: Mutex::new(vec![None; total]),
-        });
-        let _ = remote.table.lock().save(&dir);
-        self.remote_runs.lock().push(Arc::clone(&remote));
-        self.events.push(
-            TraceEvent::event("remote_drain", self.events.now_us())
-                .with("run_id", run.run_id.as_str())
-                .with("jobs", total as u64),
-        );
-
+    /// Drain a run through its lease table until every job has its output
+    /// or the run is cancelled or drained. Remote workers lease and settle
+    /// through `/v1/work/*` meanwhile; each pass here reclaims expired
+    /// leases and publishes progress and fleet stats. With jobs pending and
+    /// no worker live, the local pool leases them at once — a zero-worker
+    /// run never sleeps — otherwise the pass waits [`RECLAIM_INTERVAL`] for
+    /// the fleet. Returns the outputs in job order and the final table.
+    fn drain(&self, run_id: &str, entry: &RunEntry, jobs: &[Job]) -> (Vec<JobOutput>, LeaseTable) {
+        let dir = self.store.run_dir(run_id);
+        let leased = Arc::new(LeasedRun::new(run_id, jobs));
+        self.leased_runs.lock().push(Arc::clone(&leased));
         loop {
-            thread::sleep(RECLAIM_INTERVAL);
-            let (completed, complete, stats, stranded) = {
-                let mut table = remote.table.lock();
-                let before_reclaim = table.stats();
+            let (stats, complete, pending) = {
+                let mut table = leased.table.lock();
+                let expired_before = table.stats().leases_expired;
                 let requeued = table.reclaim_expired(unix_now_ms());
-                let after_reclaim = table.stats();
-                if after_reclaim != before_reclaim {
-                    self.fleet.leases_expired.fetch_add(
-                        after_reclaim.leases_expired - before_reclaim.leases_expired,
-                        Ordering::Relaxed,
-                    );
-                    self.fleet.jobs_requeued.fetch_add(
-                        after_reclaim.jobs_requeued - before_reclaim.jobs_requeued,
-                        Ordering::Relaxed,
-                    );
+                let stats = table.stats();
+                if stats.leases_expired > expired_before {
+                    let expired = stats.leases_expired - expired_before;
+                    self.fleet.reclaimed(expired, requeued.len());
                     let _ = table.save(&dir);
-                    self.lease_event("reclaimed", &run.run_id, "-", "-", requeued.len() as u64);
+                    self.lease_event("reclaimed", run_id, "-", "-", requeued.len() as u64);
                 }
-                let stranded = table.pending_count() > 0 && table.active_leases() == 0;
-                (
-                    table.completed_count(),
-                    table.is_complete(),
-                    table.stats(),
-                    stranded,
-                )
+                entry
+                    .completed
+                    .store(table.completed_count(), Ordering::Relaxed);
+                (stats, table.is_complete(), table.pending_count() > 0)
             };
-            entry.completed.store(completed, Ordering::Relaxed);
             entry.status.lock().fleet = Some(stats);
             if complete || entry.cancel_requested.load(Ordering::SeqCst) || self.shutting_down() {
                 break;
             }
-            if stranded && !self.fleet_available() {
-                // Every worker is presumed dead and nothing is in flight:
-                // finish the run ourselves rather than stalling forever.
-                self.local_fallback(&remote, entry, &dir);
+            if pending && !self.fleet_available() {
+                self.lease_to_local_pool(&leased, entry);
+            } else {
+                thread::sleep(RECLAIM_INTERVAL);
             }
         }
-
-        self.remote_runs.lock().retain(|r| !Arc::ptr_eq(r, &remote));
-        let table = remote.table.lock();
-        let stats = table.stats();
-        let records = remote.records.lock();
-        let outputs: Vec<JobOutput> = records
-            .iter()
-            .enumerate()
-            .filter_map(|(index, record)| {
-                record.as_ref().map(|record| JobOutput {
-                    index,
-                    direction: jobs[index].direction,
-                    record: record.clone(),
-                    wall_seconds: 0.0,
-                    queue_seconds: 0.0,
-                    from_cache: false,
-                })
-            })
-            .collect();
-        (outputs, Some(stats))
+        self.leased_runs.lock().retain(|r| !Arc::ptr_eq(r, &leased));
+        let table = leased.table.lock().clone();
+        // Cloned, not taken: a late remote completion may still hold the
+        // run and land (as a duplicate) in its slots.
+        let outputs = leased.outputs.lock().iter().flatten().cloned().collect();
+        (outputs, table)
     }
 
-    /// Run every still-pending job of a fleet-drained run through the
-    /// local pool, under a lease of its own so the accounting (and the
-    /// first-write-wins rule against late stale workers) stays uniform.
-    fn local_fallback(&self, remote: &RemoteRun, entry: &RunEntry, dir: &Path) {
+    /// The local pool as a lease consumer: lease every pending job to
+    /// [`LOCAL_POOL`], run the batch through the harness and land each
+    /// output first-write-wins, keeping its real queue/wall timings. A
+    /// cancel or drain that cuts the batch short fails the lease, so its
+    /// unfinished jobs go back to the requeue set.
+    fn lease_to_local_pool(&self, leased: &LeasedRun, entry: &RunEntry) {
         let (lease_id, indices) = {
-            let mut table = remote.table.lock();
+            let mut table = leased.table.lock();
             let pending = table.pending_count();
-            let Some(lease) = table.grant("local-pool", pending, unix_now_ms(), u64::MAX / 2)
-            else {
+            let Some(lease) = table.grant(LOCAL_POOL, pending, unix_now_ms(), u64::MAX / 2) else {
                 return;
             };
             (lease.lease_id.clone(), lease.jobs.clone())
@@ -1126,26 +1056,29 @@ impl AppState {
         self.fleet.leases_granted.fetch_add(1, Ordering::Relaxed);
         self.lease_event(
             "granted",
-            &remote.run_id,
+            &leased.run_id,
             &lease_id,
-            "local-pool",
+            LOCAL_POOL,
             indices.len() as u64,
         );
 
-        let subset: Vec<Job> = indices.iter().map(|&i| remote.jobs[i].clone()).collect();
+        let subset: Vec<Job> = indices.iter().map(|&i| leased.jobs[i].clone()).collect();
         let stream = self.harness.submit(subset);
         let token = stream.cancel_token();
         *entry.cancel.lock() = Some(token.clone());
+        // Re-check after publishing the token: a cancel or drain that raced
+        // in before the token existed must still take effect.
         if entry.cancel_requested.load(Ordering::SeqCst) || self.shutting_down() {
             token.cancel();
         }
         let mut finished = 0usize;
-        for output in stream {
+        for mut output in stream {
             let index = indices[output.index];
-            let mut table = remote.table.lock();
+            output.index = index;
+            let mut table = leased.table.lock();
             if table.record_job(index) == JobWrite::Fresh {
-                remote.records.lock()[index] = Some(output.record);
-                self.fleet.records_accepted.fetch_add(1, Ordering::Relaxed);
+                entry.completed.fetch_add(1, Ordering::Relaxed);
+                leased.outputs.lock()[index] = Some(output);
             } else {
                 self.fleet
                     .duplicate_completions
@@ -1155,18 +1088,12 @@ impl AppState {
         }
         *entry.cancel.lock() = None;
 
-        let mut table = remote.table.lock();
+        let mut table = leased.table.lock();
         if finished == indices.len() {
             let _ = table.settle(&lease_id);
         } else if let Ok(requeued) = table.fail_lease(&lease_id) {
-            // Cancelled mid-fallback: put the unfinished jobs back so the
-            // table's partition invariant holds for whoever reads it.
-            self.fleet.leases_expired.fetch_add(1, Ordering::Relaxed);
-            self.fleet
-                .jobs_requeued
-                .fetch_add(requeued.len() as u64, Ordering::Relaxed);
+            self.fleet.reclaimed(1, requeued.len());
         }
-        let _ = table.save(dir);
     }
 }
 
@@ -1197,7 +1124,7 @@ fn executor_loop(state: &Arc<AppState>) {
 mod tests {
     use super::*;
     use lassi_core::PipelineConfig;
-    use lassi_harness::HarnessOptions;
+    use lassi_harness::{FleetStats, HarnessOptions};
     use lassi_hecbench::application;
     use lassi_llm::gpt4;
     use std::time::Duration;
@@ -1240,18 +1167,10 @@ mod tests {
         assert_eq!(status.state, RunState::Queued);
         assert_eq!(status.total, 1);
 
-        let deadline = Instant::now() + Duration::from_secs(60);
-        loop {
-            let status = s.run_status("unit-1").expect("run must stay queryable");
-            if status.state.is_terminal() {
-                assert_eq!(status.state, RunState::Done, "reason: {:?}", status.reason);
-                assert_eq!(status.completed, 1);
-                assert!(status.wall_seconds.is_some());
-                break;
-            }
-            assert!(Instant::now() < deadline, "run never finished");
-            thread::sleep(Duration::from_millis(20));
-        }
+        let status = wait_terminal(&s, "unit-1");
+        assert_eq!(status.state, RunState::Done, "reason: {:?}", status.reason);
+        assert_eq!(status.completed, 1);
+        assert!(status.wall_seconds.is_some());
         // The terminal state is persisted beside the artifact.
         let on_disk = RunStatus::load(&s.store().run_dir("unit-1")).unwrap();
         assert_eq!(on_disk.state, RunState::Done);
@@ -1428,6 +1347,72 @@ mod tests {
 
         s.begin_shutdown();
         s.join_executors();
+    }
+
+    #[test]
+    fn zero_worker_run_drains_through_one_local_pool_lease() {
+        let s = state("local");
+        let accepted_before = s.fleet_snapshot().records_accepted;
+        s.start_executors(1);
+        s.submit_sweep(two_job_grid(), Some("local-1".into()))
+            .unwrap();
+
+        let status = wait_terminal(&s, "local-1");
+        assert_eq!(status.state, RunState::Done, "reason: {:?}", status.reason);
+        assert_eq!(status.completed, 2);
+        assert_eq!(
+            status.fleet,
+            Some(FleetStats {
+                leases_granted: 1,
+                ..FleetStats::default()
+            })
+        );
+        // The run's lease table is on disk beside state.json, settled.
+        let table = LeaseTable::load(&s.store().run_dir("local-1")).unwrap();
+        table.check_invariant().unwrap();
+        assert!(table.is_complete());
+        assert_eq!(table.leases().len(), 1);
+        assert_eq!(table.leases()[0].worker, LOCAL_POOL);
+        // Local outputs are not records accepted from remote workers.
+        assert_eq!(s.fleet_snapshot().records_accepted, accepted_before);
+
+        s.begin_shutdown();
+        s.join_executors();
+    }
+
+    #[test]
+    fn cancelled_local_drain_leaves_the_table_partitioned() {
+        // No executors: the test plays the executor's part itself.
+        let s = state("local-cancel");
+        s.submit_sweep(two_job_grid(), Some("local-2".into()))
+            .unwrap();
+        let run = s.queue.lock().items.pop_front().expect("queued run");
+        let entry = s.runs.lock().get("local-2").cloned().unwrap();
+        entry.cancel_requested.store(true, Ordering::SeqCst);
+
+        // A local drain entered with the cancel already requested: whatever
+        // the pool finished is completed, the rest is requeued, and no
+        // lease is left holding jobs.
+        let jobs = run.grid.jobs();
+        let leased = LeasedRun::new("local-2", &jobs);
+        s.lease_to_local_pool(&leased, &entry);
+        let table = leased.table.lock();
+        table.check_invariant().unwrap();
+        assert_eq!(
+            table.completed_count() + table.pending_count(),
+            table.total()
+        );
+        assert_eq!(table.active_leases(), 0);
+        drop(table);
+
+        // The run itself stops on the cancel and persists its table.
+        s.execute(run);
+        let status = s.run_status("local-2").unwrap();
+        assert_eq!(status.state, RunState::Cancelled);
+        assert!(status.reason.unwrap().contains("cancelled by client"));
+        let on_disk = LeaseTable::load(&s.store().run_dir("local-2")).unwrap();
+        on_disk.check_invariant().unwrap();
+        assert_eq!(on_disk.active_leases(), 0);
     }
 
     #[test]

@@ -376,8 +376,45 @@ fn run_lifecycle_cancel_and_drain() {
     let _ = std::fs::remove_dir_all(&root);
     // ONE executor: submissions beyond the first provably queue behind it,
     // which is what makes the queued-cancel and drain assertions
-    // deterministic.
-    let (addr, join, _state) = start_server_with(&root, |s| s.with_sweep_executors(1));
+    // deterministic. The long lease TTL keeps the test's own worker live
+    // (and its leases held) for the whole test.
+    let (addr, join, _state) = start_server_with(&root, |s| {
+        s.with_sweep_executors(1).with_lease_ttl_ms(60_000)
+    });
+
+    // The test registers as a worker before any run exists, so no run
+    // drains through the local pool. A run's jobs are offered for lease
+    // only once it is running; the test then leases all 8 and holds them,
+    // which keeps the run mid-flight until it is cancelled or drained.
+    let lease = || {
+        let body = br#"{"worker_id": "lifecycle-gate", "capacity": 8}"#;
+        let resp = http::request(addr, "POST", "/v1/work/lease", Some(body)).unwrap();
+        lassi_harness::json::parse(&resp.text()).expect("lease body")
+    };
+    assert_eq!(lease().get("granted"), Some(&Json::Bool(false)));
+    let hold_running = |run_id: &str| {
+        let deadline = Instant::now() + Duration::from_secs(60);
+        let grant = loop {
+            let grant = lease();
+            if grant.get("granted") == Some(&Json::Bool(true)) {
+                break grant;
+            }
+            assert!(Instant::now() < deadline, "{run_id} never started");
+            thread::sleep(Duration::from_millis(10));
+        };
+        assert_eq!(grant.get("run_id").and_then(|r| r.as_str()), Some(run_id));
+        let jobs = grant
+            .get("jobs")
+            .and_then(|j| j.as_array())
+            .map(|j| j.len());
+        assert_eq!(jobs, Some(8), "one lease holds every job of {run_id}");
+        let (_, view) = get_json(addr, &format!("/v1/runs/{run_id}"));
+        assert_eq!(
+            state_of(&view),
+            "running",
+            "{run_id} never started: {view:?}"
+        );
+    };
 
     let sweep = |apps: &str, msc: &str, run_id: &str| {
         format!(
@@ -388,8 +425,8 @@ fn run_lifecycle_cancel_and_drain() {
         )
     };
 
-    // Run A: 2 apps × 2 directions × 2 msc = 8 cold scenarios — long
-    // enough that it is still mid-flight when we cancel it below.
+    // Run A: 2 apps × 2 directions × 2 msc = 8 scenarios, held by the
+    // test's lease so it is still mid-flight when we cancel it below.
     let a = sweep(r#""layout", "entropy""#, "10, 40", "run-a");
     let resp = http::request(addr, "POST", "/v1/sweeps", Some(a.as_bytes())).unwrap();
     assert_eq!(resp.status, 202, "{}", resp.text());
@@ -420,16 +457,9 @@ fn run_lifecycle_cancel_and_drain() {
     let resp = http::request(addr, "DELETE", "/v1/runs/run-b", None).unwrap();
     assert_eq!(resp.status, 200, "{}", resp.text());
 
-    // Wait for A to be running, then cancel it mid-flight.
-    let deadline = Instant::now() + Duration::from_secs(60);
-    loop {
-        let (_, view) = get_json(addr, "/v1/runs/run-a");
-        if state_of(&view) == "running" {
-            break;
-        }
-        assert!(Instant::now() < deadline, "A never started: {view:?}");
-        thread::sleep(Duration::from_millis(10));
-    }
+    // Wait for A to be running and hold its jobs, then cancel it
+    // mid-flight.
+    hold_running("run-a");
     // A live run cannot be deleted out from under its executor.
     let resp = http::request(addr, "DELETE", "/v1/runs/run-a", None).unwrap();
     assert_eq!(resp.status, 409);
@@ -458,15 +488,7 @@ fn run_lifecycle_cancel_and_drain() {
     let c = sweep(r#""layout", "entropy""#, "10, 40", "run-c");
     let resp = http::request(addr, "POST", "/v1/sweeps", Some(c.as_bytes())).unwrap();
     assert_eq!(resp.status, 202, "{}", resp.text());
-    let deadline = Instant::now() + Duration::from_secs(60);
-    loop {
-        let (_, view) = get_json(addr, "/v1/runs/run-c");
-        if state_of(&view) == "running" {
-            break;
-        }
-        assert!(Instant::now() < deadline, "C never started: {view:?}");
-        thread::sleep(Duration::from_millis(10));
-    }
+    hold_running("run-c");
     let d = sweep(r#""entropy""#, "10", "run-d");
     let resp = http::request(addr, "POST", "/v1/sweeps", Some(d.as_bytes())).unwrap();
     assert_eq!(resp.status, 202, "{}", resp.text());
