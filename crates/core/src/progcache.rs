@@ -17,6 +17,10 @@
 //! step-limit kill burns the whole budget every time) — turning the grid's
 //! 730 executions into one VM run per distinct program.
 //!
+//! Both caches are single-flight: each key owns a slot that is filled at
+//! most once, and a lookup that arrives while another thread fills it waits
+//! for that result instead of duplicating the work.
+//!
 //! Hit/miss/size counters for both caches are exported through
 //! `/v1/cache/stats`, the metrics registry (`lassi_program_cache_*`,
 //! `lassi_report_cache_*`) and `sweep --timings`.
@@ -43,14 +47,45 @@ static REPORT_BYTES: AtomicU64 = AtomicU64::new(0);
 /// pipeline would surface. Both are deterministic for a given key.
 type CachedRun = Result<ExecutionReport, String>;
 
-fn cache() -> &'static Mutex<HashMap<u64, Arc<CompiledProgram>>> {
-    static CACHE: OnceLock<Mutex<HashMap<u64, Arc<CompiledProgram>>>> = OnceLock::new();
-    CACHE.get_or_init(|| Mutex::new(HashMap::new()))
+/// A cache table: one slot per key, filled at most once.
+type Slots<T> = Mutex<HashMap<u64, Arc<OnceLock<T>>>>;
+
+fn cache() -> &'static Slots<Arc<CompiledProgram>> {
+    static CACHE: OnceLock<Slots<Arc<CompiledProgram>>> = OnceLock::new();
+    CACHE.get_or_init(Slots::default)
 }
 
-fn report_cache() -> &'static Mutex<HashMap<u64, CachedRun>> {
-    static CACHE: OnceLock<Mutex<HashMap<u64, CachedRun>>> = OnceLock::new();
-    CACHE.get_or_init(|| Mutex::new(HashMap::new()))
+fn report_cache() -> &'static Slots<CachedRun> {
+    static CACHE: OnceLock<Slots<CachedRun>> = OnceLock::new();
+    CACHE.get_or_init(Slots::default)
+}
+
+/// The value cached under `key`, computing it with `compute` if no thread
+/// has; the flag is true when this call computed it. The table lock is not
+/// held while computing: a concurrent lookup of the same key blocks on the
+/// key's slot until the one computation finishes.
+fn single_flight<T: Clone>(slots: &Slots<T>, key: u64, compute: impl FnOnce() -> T) -> (T, bool) {
+    let mut table = slots
+        .lock()
+        .expect("no code panics while holding a table lock");
+    let slot = Arc::clone(table.entry(key).or_default());
+    drop(table);
+    let mut computed = false;
+    let value = slot
+        .get_or_init(|| {
+            computed = true;
+            compute()
+        })
+        .clone();
+    (value, computed)
+}
+
+/// Filled slots (a slot still being computed is not an entry yet).
+fn entries<T>(slots: &Slots<T>) -> u64 {
+    let table = slots
+        .lock()
+        .expect("no code panics while holding a table lock");
+    table.values().filter(|slot| slot.get().is_some()).count() as u64
 }
 
 /// Counters describing the compiled-program cache.
@@ -58,10 +93,10 @@ fn report_cache() -> &'static Mutex<HashMap<u64, CachedRun>> {
 pub struct ProgramCacheStats {
     /// Lookups answered from the cache.
     pub hits: u64,
-    /// Compiles (or runs) actually performed: every lookup that found no
-    /// entry, including a concurrent first sight that duplicated another
-    /// thread's work. `misses − entries` is that duplicated work
-    /// (perfbench reports it as `core.report_cache.dup_runs`).
+    /// Compiles (or runs) actually performed. The caches are single-flight,
+    /// so this is exactly one per distinct key and equals `entries` once no
+    /// computation is in flight; `misses − entries` (perfbench's
+    /// `core.report_cache.dup_runs`) is zero at rest.
     pub misses: u64,
     /// Distinct compiled programs currently cached.
     pub entries: u64,
@@ -101,21 +136,16 @@ pub fn cache_key(program: &Program, config: &RunConfig, argc: usize) -> u64 {
 /// Fetch the compiled form of `program`, lowering it on first sight.
 pub fn get_or_compile(program: &Program, config: &RunConfig, argc: usize) -> Arc<CompiledProgram> {
     let key = cache_key(program, config, argc);
-    if let Some(found) = cache().lock().unwrap().get(&key) {
-        HITS.fetch_add(1, Ordering::Relaxed);
-        return Arc::clone(found);
-    }
-    // Compile outside the lock; concurrent first-sights of the same program
-    // may compile twice. Every compile performed counts as a miss, but only
-    // the first result is retained as the entry.
-    let compiled = Arc::new(lassi_runtime::compile(program, argc));
-    MISSES.fetch_add(1, Ordering::Relaxed);
-    let mut map = cache().lock().unwrap();
-    let entry = map.entry(key).or_insert_with(|| {
-        BYTES.fetch_add(compiled.approx_bytes() as u64, Ordering::Relaxed);
-        Arc::clone(&compiled)
+    let (compiled, computed) = single_flight(cache(), key, || {
+        Arc::new(lassi_runtime::compile(program, argc))
     });
-    Arc::clone(entry)
+    if computed {
+        MISSES.fetch_add(1, Ordering::Relaxed);
+        BYTES.fetch_add(compiled.approx_bytes(), Ordering::Relaxed);
+    } else {
+        HITS.fetch_add(1, Ordering::Relaxed);
+    }
+    compiled
 }
 
 /// Key for a memoized execution report: the compiled-program key plus the
@@ -137,26 +167,19 @@ pub fn report_key(program_key: u64, machine_fingerprint: &str) -> u64 {
 /// step budget on every replay, making failed programs the most expensive
 /// ones to re-execute.
 pub fn get_or_run(key: u64, run: impl FnOnce() -> CachedRun) -> CachedRun {
-    if let Some(found) = report_cache().lock().unwrap().get(&key) {
-        REPORT_HITS.fetch_add(1, Ordering::Relaxed);
-        return found.clone();
-    }
-    // Execute outside the lock; concurrent first-sights of the same program
-    // may run twice. Every run performed counts as a miss, but only the
-    // first result is retained as the entry.
-    let outcome = run();
-    REPORT_MISSES.fetch_add(1, Ordering::Relaxed);
-    let mut map = report_cache().lock().unwrap();
-    let entry = map.entry(key).or_insert_with(|| {
+    let (outcome, computed) = single_flight(report_cache(), key, run);
+    if computed {
         let approx = std::mem::size_of::<ExecutionReport>()
             + match &outcome {
                 Ok(report) => report.stdout.len(),
                 Err(message) => message.len(),
             };
+        REPORT_MISSES.fetch_add(1, Ordering::Relaxed);
         REPORT_BYTES.fetch_add(approx as u64, Ordering::Relaxed);
-        outcome.clone()
-    });
-    entry.clone()
+    } else {
+        REPORT_HITS.fetch_add(1, Ordering::Relaxed);
+    }
+    outcome
 }
 
 /// Current compiled-program cache counters.
@@ -164,7 +187,7 @@ pub fn stats() -> ProgramCacheStats {
     ProgramCacheStats {
         hits: HITS.load(Ordering::Relaxed),
         misses: MISSES.load(Ordering::Relaxed),
-        entries: cache().lock().unwrap().len() as u64,
+        entries: entries(cache()),
         approx_bytes: BYTES.load(Ordering::Relaxed),
     }
 }
@@ -175,7 +198,7 @@ pub fn report_stats() -> ProgramCacheStats {
     ProgramCacheStats {
         hits: REPORT_HITS.load(Ordering::Relaxed),
         misses: REPORT_MISSES.load(Ordering::Relaxed),
-        entries: report_cache().lock().unwrap().len() as u64,
+        entries: entries(report_cache()),
         approx_bytes: REPORT_BYTES.load(Ordering::Relaxed),
     }
 }
@@ -184,6 +207,7 @@ pub fn report_stats() -> ProgramCacheStats {
 mod tests {
     use super::*;
     use lassi_lang::{parse, Dialect};
+    use std::time::{Duration, Instant};
 
     #[test]
     fn second_lookup_hits_and_shares_the_compiled_program() {
@@ -244,6 +268,47 @@ mod tests {
         assert!(after.hits >= before.hits + 2);
         assert!(after.entries >= 1);
         assert!(after.approx_bytes > before.approx_bytes);
+    }
+
+    #[test]
+    fn concurrent_first_sights_run_once() {
+        let key = report_key(0x5151_f11e_0000_0001, "race-machine");
+        // Holders of the key's slot: the table, the lookup that is running
+        // and, once it has found the slot, the other lookup.
+        let holders = || {
+            report_cache()
+                .lock()
+                .unwrap()
+                .get(&key)
+                .map_or(0, Arc::strong_count)
+        };
+        let runs = AtomicU64::new(0);
+        let barrier = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            let lookups: Vec<_> = (0..2)
+                .map(|_| {
+                    s.spawn(|| {
+                        barrier.wait();
+                        get_or_run(key, || {
+                            runs.fetch_add(1, Ordering::SeqCst);
+                            // Finish only after the other lookup holds the
+                            // slot, so it arrives while this run is in flight.
+                            let give_up = Instant::now() + Duration::from_secs(10);
+                            while holders() < 3 {
+                                assert!(Instant::now() < give_up, "no concurrent lookup");
+                                std::thread::yield_now();
+                            }
+                            Err("raced".to_string())
+                        })
+                    })
+                })
+                .collect();
+            for lookup in lookups {
+                assert_eq!(lookup.join().unwrap().unwrap_err(), "raced");
+            }
+        });
+        assert_eq!(runs.load(Ordering::SeqCst), 1, "one run per key");
+        assert_eq!(holders(), 1, "only the table keeps the slot");
     }
 
     #[test]

@@ -118,7 +118,8 @@ impl GpuSimulator {
                     for (param, arg) in req.kernel.params.iter().zip(&req.args) {
                         env.declare(&param.name, param.ty.clone(), arg.coerce_to(&param.ty));
                     }
-                    let mut eval = Evaluator::for_context(req.program, EvalContext::Host, 100_000);
+                    let mut eval = Evaluator::for_context(req.program, EvalContext::Host, 100_000)
+                        .with_strings(req.strings);
                     eval.eval_expr(other, &mut env, mem)?.as_int().max(1) as usize
                 }
                 None => 1,
@@ -142,10 +143,11 @@ impl GpuSimulator {
                     env.declare(&param.name, param.ty.clone(), arg.coerce_to(&param.ty));
                 }
                 for (name, ty, value) in &shared_bindings {
-                    env.declare(name, ty.clone(), value.clone());
+                    env.declare(name, ty.clone(), *value);
                 }
                 (
-                    Evaluator::for_context(req.program, ctx, THREAD_STEP_LIMIT),
+                    Evaluator::for_context(req.program, ctx, THREAD_STEP_LIMIT)
+                        .with_strings(req.strings),
                     env,
                     false,
                 )
@@ -239,7 +241,7 @@ impl GpuSimulator {
                     vm.set_slot(i as u32, arg.coerce_to(ty));
                 }
                 for (slot, ptr) in &shared_ptrs {
-                    vm.set_slot(*slot, ptr.clone());
+                    vm.set_slot(*slot, *ptr);
                 }
                 match vm.run_unit(mem, kernel.segments[0]) {
                     Ok(_) => {}
@@ -269,7 +271,7 @@ impl GpuSimulator {
                     vm.set_slot(i as u32, arg.coerce_to(ty));
                 }
                 for (slot, ptr) in &shared_ptrs {
-                    vm.set_slot(*slot, ptr.clone());
+                    vm.set_slot(*slot, *ptr);
                 }
                 (vm, false)
             })
@@ -408,6 +410,7 @@ mod tests {
             grid: Dim3Val::linear(grid),
             block: Dim3Val::linear(block),
             args,
+            strings: &[],
             line: 1,
         };
         let result = gpu.launch_kernel(&req, &mem);
@@ -457,6 +460,7 @@ mod tests {
             grid: Dim3Val::new(2, 2, 1),
             block: Dim3Val::new(4, 4, 1),
             args: vec![Value::Ptr(out), Value::Int(8)],
+            strings: &[],
             line: 1,
         };
         gpu.launch_kernel(&req, &mem).unwrap();
@@ -555,6 +559,7 @@ mod tests {
             grid: Dim3Val::linear(2),
             block: Dim3Val::linear(64),
             args: vec![Value::Ptr(out), Value::Ptr(input), Value::Int(n as i64)],
+            strings: &[],
             line: 1,
         };
         gpu.launch_kernel(&req, &mem).unwrap();
@@ -609,6 +614,7 @@ mod tests {
             grid: Dim3Val::linear(100_000),
             block: Dim3Val::linear(1024),
             args: vec![Value::Ptr(out)],
+            strings: &[],
             line: 1,
         };
         assert_eq!(
@@ -679,6 +685,7 @@ mod tests {
                 grid: Dim3Val::linear(grid),
                 block: Dim3Val::linear(block),
                 args: vec![Value::Ptr(out), Value::Int(n)],
+                strings: &[],
                 line: 1,
             };
             gpu.launch_kernel(&req, &mem).unwrap().simulated_seconds

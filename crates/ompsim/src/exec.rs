@@ -170,13 +170,14 @@ impl ParallelBackend for OmpSimulator {
                     num_threads: resources.threads as i64,
                     offloaded: req.offload,
                 };
-                let mut eval = Evaluator::for_context(req.program, ctx, WORKER_STEP_LIMIT);
+                let mut eval = Evaluator::for_context(req.program, ctx, WORKER_STEP_LIMIT)
+                    .with_strings(req.strings);
                 let mut env = req.base_env.clone();
                 // Private copies of reduction variables start at the identity.
                 if let Some((op, vars)) = &reduction {
                     for (var, ty) in vars.iter().zip(&reduction_types) {
                         let ident = reduction_identity(*op, ty);
-                        if !env.set(var, ident.clone()) {
+                        if !env.set(var, ident) {
                             env.declare(var, ty.clone(), ident);
                         }
                     }
@@ -200,7 +201,7 @@ impl ParallelBackend for OmpSimulator {
                 let reductions = match &reduction {
                     Some((_, vars)) => vars
                         .iter()
-                        .map(|v| env.get(v).map(|b| b.value.clone()).unwrap_or(Value::Int(0)))
+                        .map(|v| env.get(v).map(|b| b.value).unwrap_or(Value::Int(0)))
                         .collect(),
                     None => Vec::new(),
                 };
@@ -230,7 +231,7 @@ impl ParallelBackend for OmpSimulator {
                 let original = req
                     .base_env
                     .get(var)
-                    .map(|b| b.value.clone())
+                    .map(|b| b.value)
                     .unwrap_or_else(|| reduction_identity(*op, ty));
                 let combined = reduce_combine(*op, ty, &original, &acc);
                 reduction_updates.push((var.clone(), combined));
@@ -294,7 +295,7 @@ impl ParallelBackend for OmpSimulator {
                 let mut vm = Vm::for_context(req.program, ctx, WORKER_STEP_LIMIT);
                 vm.prepare_frame(region.nslots);
                 for (i, v) in req.captures.iter().enumerate() {
-                    vm.set_slot(i as u32, v.clone());
+                    vm.set_slot(i as u32, *v);
                 }
                 // Private copies of reduction variables start at the identity.
                 for r in &region.reductions {
@@ -324,7 +325,7 @@ impl ParallelBackend for OmpSimulator {
                 let reductions = region
                     .reductions
                     .iter()
-                    .map(|r| vm.slot(r.read_slot).clone())
+                    .map(|r| *vm.slot(r.read_slot))
                     .collect();
                 Ok(ChunkResult {
                     cost: vm.cost,
@@ -349,7 +350,7 @@ impl ParallelBackend for OmpSimulator {
                 }
             }
             let original = if r.init_coerce {
-                req.captures[r.init_slot as usize].clone()
+                req.captures[r.init_slot as usize]
             } else {
                 reduction_identity(r.op, &r.ty)
             };

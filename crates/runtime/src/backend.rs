@@ -28,6 +28,9 @@ pub struct KernelLaunchRequest<'a> {
     pub block: Dim3Val,
     /// Evaluated kernel arguments, in parameter order.
     pub args: Vec<Value>,
+    /// The launching evaluator's string pool, which `Value::Str` arguments
+    /// index (see [`crate::Evaluator::with_strings`]).
+    pub strings: &'a [String],
     /// Source line of the launch statement.
     pub line: u32,
 }
@@ -51,6 +54,9 @@ pub struct ParallelForRequest<'a> {
     pub body: &'a Block,
     /// Snapshot of the enclosing environment (shared/firstprivate view).
     pub base_env: Env,
+    /// The host evaluator's string pool, which `Value::Str` bindings in
+    /// `base_env` index (see [`crate::Evaluator::with_strings`]).
+    pub strings: &'a [String],
     /// True for `target ...` directives that offload to the device.
     pub offload: bool,
     /// Source line of the pragma.
@@ -206,6 +212,7 @@ mod tests {
             grid: Dim3Val::linear(1),
             block: Dim3Val::linear(32),
             args: vec![Value::NullPtr],
+            strings: &[],
             line: 1,
         };
         let mem = Memory::new();

@@ -19,7 +19,7 @@ use lassi_lang::{
     OmpDirectiveKind, PragmaStmt, Program, Stmt, StmtKind, Type, UnOp,
 };
 
-use super::instr::{FlowKind, Instr, MathFn, Reg, SpecialIdent};
+use super::instr::{Axis, FlowKind, Instr, MathFn, Reg, SpecialIdent};
 use super::{
     CompiledFunction, CompiledKernel, CompiledProgram, CompiledReduction, CompiledRegion,
     CompiledShared, HostUnit, SharedLen,
@@ -56,7 +56,7 @@ pub fn compile(program: &Program, argc: usize) -> CompiledProgram {
 enum ConstKey {
     Int(i64),
     Float(u64),
-    Str(String),
+    Str(u32),
     Dim3(u32, u32, u32),
     Void,
     NullPtr,
@@ -67,7 +67,7 @@ impl ConstKey {
         match v {
             Value::Int(i) => ConstKey::Int(*i),
             Value::Float(f) => ConstKey::Float(f.to_bits()),
-            Value::Str(s) => ConstKey::Str(s.clone()),
+            Value::Str(id) => ConstKey::Str(*id),
             Value::Dim3(d) => ConstKey::Dim3(d.x, d.y, d.z),
             Value::Void => ConstKey::Void,
             _ => ConstKey::NullPtr,
@@ -286,7 +286,8 @@ impl<'p> Compiler<'p> {
                 dst
             }
             Expr::StrLit(s) => {
-                let id = self.const_id(Value::Str(s.clone()));
+                let text = self.name_id(s);
+                let id = self.const_id(Value::Str(text));
                 let dst = ctx.alloc();
                 self.emit(Instr::Const { dst, id });
                 dst
@@ -339,9 +340,19 @@ impl<'p> Compiler<'p> {
             Expr::Member { base, field } => {
                 self.charge();
                 let src = self.expr(base, ctx);
+                let axis = match field.as_str() {
+                    "x" => Axis::X,
+                    "y" => Axis::Y,
+                    _ => Axis::Z,
+                };
                 let field = self.name_id(field);
                 let dst = ctx.alloc();
-                self.emit(Instr::MemberGet { dst, src, field });
+                self.emit(Instr::MemberGet {
+                    dst,
+                    src,
+                    axis,
+                    field,
+                });
                 dst
             }
             Expr::Cast { ty, expr } => {

@@ -102,6 +102,18 @@ impl MathFn {
     }
 }
 
+/// Component read by a `dim3` member access. Any field other than `x` or
+/// `y` reads `z`, as in the interpreter.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Axis {
+    /// `.x`.
+    X,
+    /// `.y`.
+    Y,
+    /// `.z` (and any other field name).
+    Z,
+}
+
 /// Non-`Return` terminal flow of a compiled unit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FlowKind {
@@ -298,7 +310,9 @@ pub enum Instr {
         dst: Reg,
         /// Base register.
         src: Reg,
-        /// Name-pool index of the field.
+        /// The component read, resolved from the field name at compile time.
+        axis: Axis,
+        /// Name-pool index of the field (for the non-`dim3` error message).
         field: u32,
     },
     /// Scalar cast (`coerce_to`).

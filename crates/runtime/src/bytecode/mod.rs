@@ -24,7 +24,7 @@ pub mod instr;
 pub mod vm;
 
 pub use compiler::compile;
-pub use instr::{FlowKind, Instr, MathFn, Reg, SpecialIdent};
+pub use instr::{Axis, FlowKind, Instr, MathFn, Reg, SpecialIdent};
 pub use vm::{run_compiled, run_compiled_with_memory, Vm};
 
 use lassi_lang::{OmpDirective, ReductionOp, Type};

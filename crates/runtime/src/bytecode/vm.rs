@@ -5,19 +5,23 @@
 //! [`EvalContext`] it is constructed with. Registers live in one contiguous
 //! `Vec<Value>`; user-function calls push a frame by bumping the base offset,
 //! so the hot path never allocates, hashes a name or walks a scope chain.
+//! [`Value`] is `Copy` (string literals are ids into
+//! [`CompiledProgram::names`]), so filling a frame for each simulated GPU
+//! thread and every register move is a plain copy, and int×int operators
+//! are computed inline without going through the generic [`apply_binop`].
 //!
 //! Every observable of the tree-walking interpreter is reproduced exactly:
 //! stdout, cost counters, memory traffic, `extra_seconds`, the step counter
 //! (see the charging table in [`super::instr`]) and every error message.
 
-use lassi_lang::Type;
+use lassi_lang::{BinOp, Type};
 
-use super::instr::{FlowKind, Instr, MathFn, Reg, SpecialIdent};
+use super::instr::{Axis, FlowKind, Instr, MathFn, Reg, SpecialIdent};
 use super::CompiledProgram;
 use crate::backend::{CompiledKernelLaunch, CompiledParallelFor, ParallelBackend};
 use crate::cost::CostCounter;
 use crate::error::ExecError;
-use crate::eval::{apply_binop, ControlFlow, EvalContext};
+use crate::eval::{apply_binop, int_binop, ControlFlow, EvalContext};
 use crate::interp::{ExecutionReport, RunConfig};
 use crate::memory::{BufferId, MemSpace, Memory};
 use crate::printf;
@@ -180,6 +184,20 @@ impl<'p> Vm<'p> {
         self.ctx.is_device_access()
     }
 
+    /// An int×int operator computed inline: the value and `int_ops` charge
+    /// of [`apply_binop`], without building its `Result`. `None` sends the
+    /// operator to [`apply_binop`]: division or remainder by zero, pointers,
+    /// floats and mixed operands.
+    #[inline(always)]
+    fn int_fast(&mut self, op: BinOp, l: &Value, r: &Value) -> Option<Value> {
+        let (Value::Int(a), Value::Int(b)) = (l, r) else {
+            return None;
+        };
+        let v = int_binop(op, *a, *b)?;
+        self.cost.int_ops += 1;
+        Some(Value::Int(v))
+    }
+
     fn err_line(&self, msg: &str) -> ExecError {
         ExecError::other(format!("line {}: {}", self.current_line, msg))
     }
@@ -264,7 +282,7 @@ impl<'p> Vm<'p> {
                 }
                 Instr::Ret { src } => {
                     let v = match src {
-                        Some(r) => self.reg(*r).clone(),
+                        Some(r) => *self.reg(*r),
                         None => Value::Void,
                     };
                     if self.frames.len() == entry_frames {
@@ -288,18 +306,18 @@ impl<'p> Vm<'p> {
 
                 Instr::Const { dst, id } => {
                     self.charge(1)?;
-                    self.set_reg(*dst, prog.consts[*id as usize].clone());
+                    self.set_reg(*dst, prog.consts[*id as usize]);
                 }
                 Instr::ConstFree { dst, id } => {
-                    self.set_reg(*dst, prog.consts[*id as usize].clone());
+                    self.set_reg(*dst, prog.consts[*id as usize]);
                 }
                 Instr::Move { dst, src } => {
-                    let v = self.reg(*src).clone();
+                    let v = *self.reg(*src);
                     self.set_reg(*dst, v);
                 }
                 Instr::LoadVar { dst, slot } => {
                     self.charge(1)?;
-                    let v = self.reg(*slot).clone();
+                    let v = *self.reg(*slot);
                     self.set_reg(*dst, v);
                 }
                 Instr::LoadSpecial { dst, which, name } => {
@@ -340,7 +358,7 @@ impl<'p> Vm<'p> {
                     ty,
                     name,
                 } => {
-                    let v = self.reg(*src).clone();
+                    let v = *self.reg(*src);
                     if let Value::Ptr(p) = &v {
                         if let Some(elem) = prog.ty(*ty).pointee() {
                             mem.rename(p.buffer, prog.name(*name));
@@ -367,14 +385,11 @@ impl<'p> Vm<'p> {
                 }
 
                 Instr::Binary { op, dst, l, r } => {
-                    let (li, ri) = (self.base + *l as usize, self.base + *r as usize);
-                    let v = apply_binop(
-                        *op,
-                        &self.regs[li],
-                        &self.regs[ri],
-                        &mut self.cost,
-                        self.current_line,
-                    )?;
+                    let (lv, rv) = (*self.reg(*l), *self.reg(*r));
+                    let v = match self.int_fast(*op, &lv, &rv) {
+                        Some(v) => v,
+                        None => apply_binop(*op, &lv, &rv, &mut self.cost, self.current_line)?,
+                    };
                     self.set_reg(*dst, v);
                 }
                 Instr::Neg { dst, src } => {
@@ -433,17 +448,23 @@ impl<'p> Vm<'p> {
                     };
                     self.set_reg(*dst, v);
                 }
-                Instr::MemberGet { dst, src, field } => {
+                Instr::MemberGet {
+                    dst,
+                    src,
+                    axis,
+                    field,
+                } => {
                     let v = match self.reg(*src) {
-                        Value::Dim3(d) => Value::Int(match prog.name(*field) {
-                            "x" => d.x as i64,
-                            "y" => d.y as i64,
-                            _ => d.z as i64,
-                        }),
+                        Value::Dim3(d) => Value::Int(match axis {
+                            Axis::X => d.x,
+                            Axis::Y => d.y,
+                            Axis::Z => d.z,
+                        } as i64),
                         other => {
                             return Err(self.err_line(&format!(
-                                "member access '.{}' on non-dim3 value {other}",
-                                prog.name(*field)
+                                "member access '.{}' on non-dim3 value {}",
+                                prog.name(*field),
+                                other.text(&prog.names)
                             )))
                         }
                     };
@@ -454,7 +475,7 @@ impl<'p> Vm<'p> {
                     self.set_reg(*dst, v);
                 }
                 Instr::CastPtr { dst, src, elem } => {
-                    let v = self.reg(*src).clone();
+                    let v = *self.reg(*src);
                     if let Value::Ptr(p) = &v {
                         mem.retype(p.buffer, prog.ty(*elem).clone());
                     }
@@ -469,7 +490,7 @@ impl<'p> Vm<'p> {
 
                 Instr::StoreIndex { base, idx, src } => {
                     let i = self.reg(*idx).as_int();
-                    let v = self.reg(*src).clone();
+                    let v = *self.reg(*src);
                     match self.reg(*base) {
                         Value::Ptr(p) => {
                             let p = *p;
@@ -504,18 +525,16 @@ impl<'p> Vm<'p> {
                     let (old, elem) =
                         mem.load_counted(&p, i, self.is_device_access(), self.current_line)?;
                     self.cost.bytes_read += elem;
-                    let new = apply_binop(
-                        *op,
-                        &old,
-                        &self.regs[self.base + *src as usize],
-                        &mut self.cost,
-                        self.current_line,
-                    )?;
+                    let rv = *self.reg(*src);
+                    let new = match self.int_fast(*op, &old, &rv) {
+                        Some(v) => v,
+                        None => apply_binop(*op, &old, &rv, &mut self.cost, self.current_line)?,
+                    };
                     self.cost.bytes_written += elem;
                     mem.store(&p, i, &new, self.is_device_access(), self.current_line)?;
                 }
                 Instr::StoreDeref { ptr, src } => {
-                    let v = self.reg(*src).clone();
+                    let v = *self.reg(*src);
                     match self.reg(*ptr) {
                         Value::Ptr(p) => {
                             let p = *p;
@@ -547,26 +566,21 @@ impl<'p> Vm<'p> {
                     let (old, elem) =
                         mem.load_counted(&p, 0, self.is_device_access(), self.current_line)?;
                     self.cost.bytes_read += elem;
-                    let new = apply_binop(
-                        *op,
-                        &old,
-                        &self.regs[self.base + *src as usize],
-                        &mut self.cost,
-                        self.current_line,
-                    )?;
+                    let rv = *self.reg(*src);
+                    let new = match self.int_fast(*op, &old, &rv) {
+                        Some(v) => v,
+                        None => apply_binop(*op, &old, &rv, &mut self.cost, self.current_line)?,
+                    };
                     self.cost.bytes_written += elem;
                     mem.store(&p, 0, &new, self.is_device_access(), self.current_line)?;
                 }
                 Instr::RmwVar { op, slot, src, ty } => {
-                    let (si, vi) = (self.base + *slot as usize, self.base + *src as usize);
-                    let new = apply_binop(
-                        *op,
-                        &self.regs[si],
-                        &self.regs[vi],
-                        &mut self.cost,
-                        self.current_line,
-                    )?;
-                    self.regs[si] = new.coerce_to(prog.ty(*ty));
+                    let (lv, rv) = (*self.reg(*slot), *self.reg(*src));
+                    let new = match self.int_fast(*op, &lv, &rv) {
+                        Some(v) => v,
+                        None => apply_binop(*op, &lv, &rv, &mut self.cost, self.current_line)?,
+                    };
+                    self.set_reg(*slot, new.coerce_to(prog.ty(*ty)));
                 }
                 Instr::ErrPlain { msg } => {
                     return Err(ExecError::other(prog.name(*msg)));
@@ -627,10 +641,10 @@ impl<'p> Vm<'p> {
                     let text = {
                         let vals = self.args(*args_base, *argc);
                         let fmt = match vals.first() {
-                            Some(Value::Str(s)) => s.as_str(),
+                            Some(Value::Str(id)) => prog.name(*id),
                             _ => "",
                         };
-                        printf::format(fmt, vals.get(1..).unwrap_or(&[]))
+                        printf::format(fmt, vals.get(1..).unwrap_or(&[]), &prog.names)
                     };
                     self.stdout.push_str(&text);
                     self.set_reg(*dst, Value::Int(text.len() as i64));
@@ -642,7 +656,7 @@ impl<'p> Vm<'p> {
                 }
                 Instr::FreeVal { src, dst } => {
                     match self.reg(*src) {
-                        Value::Ptr(p) => mem.free(&p.clone(), self.current_line)?,
+                        Value::Ptr(p) => mem.free(p, self.current_line)?,
                         Value::NullPtr => {}
                         _ => {
                             return Err(ExecError::InvalidFree {
@@ -689,7 +703,7 @@ impl<'p> Vm<'p> {
                             line: self.current_line,
                         });
                     };
-                    mem.copy(&d.clone(), &s.clone(), n, self.current_line)?;
+                    mem.copy(d, s, n, self.current_line)?;
                     if let Some(backend) = self.backend {
                         self.extra_seconds += backend.memcpy_seconds(n);
                     }
@@ -706,7 +720,7 @@ impl<'p> Vm<'p> {
                     let n = self.reg(*bytes).as_int().max(0) as u64;
                     if let Value::Ptr(p) = self.reg(*ptr) {
                         let p = *p;
-                        let fill = self.reg(*fill).clone();
+                        let fill = *self.reg(*fill);
                         let elem_size = self.elem_size(mem, p.buffer).max(1);
                         let count = (n / elem_size) as i64;
                         let v = if fill.as_int() == 0 {
@@ -730,7 +744,7 @@ impl<'p> Vm<'p> {
                 } => {
                     let n = self.reg(*bytes).as_int().max(0) as u64;
                     if let (Value::Ptr(d), Value::Ptr(s)) = (self.reg(*dptr), self.reg(*sptr)) {
-                        mem.copy(&d.clone(), &s.clone(), n, self.current_line)?;
+                        mem.copy(d, s, n, self.current_line)?;
                     }
                     self.set_reg(*dst, Value::Int(0));
                 }
@@ -749,11 +763,11 @@ impl<'p> Vm<'p> {
                     });
                 }
                 Instr::AtomicAdd { target, delta, dst } => {
-                    let delta = self.reg(*delta).clone();
+                    let delta = *self.reg(*delta);
                     self.cost.atomics += 1;
                     let v = match self.reg(*target) {
                         Value::Ptr(p) => mem.atomic_add(
-                            &p.clone(),
+                            p,
                             0,
                             &delta,
                             self.is_device_access(),
@@ -773,11 +787,11 @@ impl<'p> Vm<'p> {
                     dst,
                     is_max,
                 } => {
-                    let operand = self.reg(*delta).clone();
+                    let operand = *self.reg(*delta);
                     self.cost.atomics += 1;
                     let v = match self.reg(*target) {
                         Value::Ptr(p) => mem.atomic_minmax(
-                            &p.clone(),
+                            p,
                             0,
                             &operand,
                             *is_max,
@@ -945,7 +959,7 @@ impl<'p> Vm<'p> {
                         _ => return Err(self.err_line("subscripted value is not a pointer")),
                     };
                     self.cost.atomics += 1;
-                    let delta = self.reg(*src).clone();
+                    let delta = *self.reg(*src);
                     let signed = if *negate {
                         match delta {
                             Value::Int(v) => Value::Int(-v),
@@ -1022,7 +1036,7 @@ impl<'p> Vm<'p> {
                     let captures = r
                         .captures
                         .iter()
-                        .map(|&c| self.regs[self.base + c as usize].clone())
+                        .map(|&c| self.regs[self.base + c as usize])
                         .collect();
                     let req = CompiledParallelFor {
                         program: prog,
@@ -1271,6 +1285,82 @@ mod tests {
         assert_identical(
             "int main() { float a[2]; a[0] = 0.1; double d = a[0]; int ok = d != 0.1; printf(\"%d\\n\", ok); return 0; }",
         );
+    }
+
+    #[test]
+    fn host_string_literals_match() {
+        // Literals as the format, as `%s` arguments (padded too) and passed
+        // through a user-function parameter before use as a format.
+        let src = r#"
+            void say(int* fmt, int n) { printf(fmt, n, "tail"); }
+            int main() {
+                printf("%s=%d %s\n", "answer", 42, "ok");
+                printf("plain\n");
+                say("n=%d %s\n", 7);
+                printf("[%5s|%-6s]\n", "ab", "cd");
+                return 0;
+            }
+        "#;
+        assert_identical(src);
+        let (_, vm) = run_both(src);
+        assert_eq!(
+            vm.unwrap().stdout,
+            "answer=42 ok\nplain\nn=7 tail\n[   ab|cd    ]\n"
+        );
+    }
+
+    #[test]
+    fn member_access_on_a_string_matches() {
+        let src = r#"int main() { int* s = "abc"; int x = s.y; return 0; }"#;
+        assert_identical(src);
+        let (_, vm) = run_both(src);
+        assert!(vm
+            .unwrap_err()
+            .to_string()
+            .contains("member access '.y' on non-dim3 value abc"));
+    }
+
+    #[test]
+    fn kernel_string_literals_match() {
+        let src = r#"
+            __global__ void k(int* out) {
+                printf("thread %d of %s\n", threadIdx.x, "k");
+                printf("%s|%3s\n", "done", "x");
+                out[threadIdx.x] = 1;
+            }
+            int main() { return 0; }
+        "#;
+        let program = parse(src, Dialect::CudaLite).unwrap();
+        let ctx = EvalContext::DeviceThread {
+            thread_idx: Dim3Val::linear(2),
+            block_idx: Dim3Val::linear(0),
+            block_dim: Dim3Val::linear(4),
+            grid_dim: Dim3Val::linear(1),
+        };
+
+        let compiled = super::super::compile(&program, 0);
+        let kernel = &compiled.kernels[0];
+        let mem = Memory::new();
+        let out = mem.alloc("out", Type::Int, 4, MemSpace::Device);
+        let mut vm = Vm::for_context(&compiled, ctx, 100_000);
+        vm.prepare_frame(kernel.nslots);
+        vm.set_slot(0, Value::Ptr(out));
+        for &seg in &kernel.segments {
+            vm.run_unit(&mem, seg).unwrap();
+        }
+
+        let mut eval = Evaluator::for_context(&program, ctx, 100_000);
+        let mem2 = Memory::new();
+        let out2 = mem2.alloc("out", Type::Int, 4, MemSpace::Device);
+        let mut env = Env::new();
+        env.declare("out", Type::Int.ptr(), Value::Ptr(out2));
+        eval.exec_block(&program.function("k").unwrap().body, &mut env, &mem2)
+            .unwrap();
+
+        assert_eq!(vm.stdout, "thread 2 of k\ndone|  x\n");
+        assert_eq!(vm.stdout, eval.stdout, "device-thread stdout parity");
+        assert_eq!(vm.steps, eval.steps, "device-thread step parity");
+        assert_eq!(vm.cost, eval.cost, "device-thread cost parity");
     }
 
     #[test]

@@ -102,6 +102,8 @@ pub struct Evaluator<'a> {
     pub step_limit: u64,
     /// Source line of the statement currently executing.
     pub current_line: u32,
+    /// String-literal pool that `Value::Str` ids index.
+    strings: Vec<String>,
     backend: Option<&'a dyn ParallelBackend>,
     /// Depth of nested user-function calls (guards against runaway recursion).
     call_depth: u32,
@@ -126,9 +128,18 @@ impl<'a> Evaluator<'a> {
             steps: 0,
             step_limit,
             current_line: 0,
+            strings: Vec::new(),
             backend: None,
             call_depth: 0,
         }
+    }
+
+    /// Start from a parent evaluator's string-literal pool. Child evaluators
+    /// (kernel threads, work-sharing chunks) do this so `Value::Str` ids
+    /// passed down as arguments or captures resolve to the same text.
+    pub fn with_strings(mut self, strings: &[String]) -> Self {
+        self.strings = strings.to_vec();
+        self
     }
 
     /// Evaluator for host code with an attached parallel backend.
@@ -155,6 +166,16 @@ impl<'a> Evaluator<'a> {
 
     fn is_device_access(&self) -> bool {
         self.ctx.is_device_access()
+    }
+
+    fn intern(&mut self, s: &str) -> u32 {
+        match self.strings.iter().position(|x| x == s) {
+            Some(id) => id as u32,
+            None => {
+                self.strings.push(s.to_string());
+                (self.strings.len() - 1) as u32
+            }
+        }
     }
 
     // -------------------------------------------------------------- statements
@@ -401,7 +422,7 @@ impl<'a> Evaluator<'a> {
         match lvalue {
             LValue::Var(name) => env
                 .get(name)
-                .map(|b| b.value.clone())
+                .map(|b| b.value)
                 .ok_or_else(|| ExecError::other(format!("read of unbound variable '{name}'"))),
             LValue::Mem { ptr, index } => {
                 let elem_size = mem.buffer_elem(ptr.buffer).map_or(8, |t| t.size_bytes());
@@ -454,7 +475,7 @@ impl<'a> Evaluator<'a> {
         match expr {
             Expr::IntLit(v) => Ok(Value::Int(*v)),
             Expr::FloatLit(v) => Ok(Value::Float(*v)),
-            Expr::StrLit(s) => Ok(Value::Str(s.clone())),
+            Expr::StrLit(s) => Ok(Value::Str(self.intern(s))),
             Expr::Ident(name) => self.eval_ident(name, env),
             Expr::Binary { op, lhs, rhs } => {
                 let l = self.eval_expr(lhs, env, mem)?;
@@ -521,8 +542,9 @@ impl<'a> Evaluator<'a> {
                         _ => d.z as i64,
                     })),
                     other => Err(ExecError::other(format!(
-                        "line {}: member access '.{field}' on non-dim3 value {other}",
-                        self.current_line
+                        "line {}: member access '.{field}' on non-dim3 value {}",
+                        self.current_line,
+                        other.text(&self.strings)
                     ))),
                 }
             }
@@ -549,7 +571,7 @@ impl<'a> Evaluator<'a> {
 
     fn eval_ident(&mut self, name: &str, env: &Env) -> Result<Value, ExecError> {
         if let Some(binding) = env.get(name) {
-            return Ok(binding.value.clone());
+            return Ok(binding.value);
         }
         if let EvalContext::DeviceThread {
             thread_idx,
@@ -604,10 +626,10 @@ impl<'a> Evaluator<'a> {
                     values.push(self.eval_expr(a, env, mem)?);
                 }
                 let fmt = match values.first() {
-                    Some(Value::Str(s)) => s.clone(),
-                    _ => String::new(),
+                    Some(Value::Str(id)) => self.strings[*id as usize].as_str(),
+                    _ => "",
                 };
-                let text = printf::format(&fmt, &values[1..]);
+                let text = printf::format(fmt, &values[1..], &self.strings);
                 self.stdout.push_str(&text);
                 Ok(Value::Int(text.len() as i64))
             }
@@ -663,7 +685,7 @@ impl<'a> Evaluator<'a> {
                     let v = if fill.as_int() == 0 {
                         Value::Int(0)
                     } else {
-                        fill.clone()
+                        fill
                     };
                     for i in 0..count {
                         mem.store(
@@ -932,6 +954,7 @@ impl<'a> Evaluator<'a> {
             grid,
             block,
             args,
+            strings: &self.strings,
             line: self.current_line,
         };
         let stats = backend.launch_kernel(&req, mem)?;
@@ -1089,6 +1112,7 @@ impl<'a> Evaluator<'a> {
             step,
             body: &for_stmt.body,
             base_env: env.flatten(),
+            strings: &self.strings,
             offload,
             line: self.current_line,
         };
@@ -1096,7 +1120,7 @@ impl<'a> Evaluator<'a> {
         self.extra_seconds += stats.simulated_seconds;
         self.parallel_cost.merge(&stats.cost);
         for (name, value) in &stats.reduction_updates {
-            env.set(name, value.clone());
+            env.set(name, *value);
         }
         for id in mapped {
             mem.set_mapped(id, false);
@@ -1166,31 +1190,9 @@ pub(crate) fn apply_binop(
         cost.flops += 1;
     }
     let result = if ints {
-        let (a, b) = (l.as_int(), r.as_int());
-        match op {
-            Add => Value::Int(a.wrapping_add(b)),
-            Sub => Value::Int(a.wrapping_sub(b)),
-            Mul => Value::Int(a.wrapping_mul(b)),
-            Div => {
-                if b == 0 {
-                    return Err(ExecError::DivisionByZero { line });
-                }
-                Value::Int(a.wrapping_div(b))
-            }
-            Rem => {
-                if b == 0 {
-                    return Err(ExecError::DivisionByZero { line });
-                }
-                Value::Int(a.wrapping_rem(b))
-            }
-            Shl => Value::Int(a.wrapping_shl(b as u32)),
-            Shr => Value::Int(a.wrapping_shr(b as u32)),
-            BitAnd => Value::Int(a & b),
-            BitOr => Value::Int(a | b),
-            BitXor => Value::Int(a ^ b),
-            Lt | Gt | Le | Ge | Eq | Ne => Value::Int(compare_ints(op, a, b)),
-            And => Value::Int(((a != 0) && (b != 0)) as i64),
-            Or => Value::Int(((a != 0) || (b != 0)) as i64),
+        match int_binop(op, l.as_int(), r.as_int()) {
+            Some(v) => Value::Int(v),
+            None => return Err(ExecError::DivisionByZero { line }),
         }
     } else {
         let (a, b) = (l.as_float(), r.as_float());
@@ -1216,6 +1218,28 @@ pub(crate) fn apply_binop(
         }
     };
     Ok(result)
+}
+
+/// The int×int result of `op`, or `None` for division or remainder by zero.
+#[inline]
+pub(crate) fn int_binop(op: BinOp, a: i64, b: i64) -> Option<i64> {
+    use BinOp::*;
+    Some(match op {
+        Add => a.wrapping_add(b),
+        Sub => a.wrapping_sub(b),
+        Mul => a.wrapping_mul(b),
+        Div | Rem if b == 0 => return None,
+        Div => a.wrapping_div(b),
+        Rem => a.wrapping_rem(b),
+        Shl => a.wrapping_shl(b as u32),
+        Shr => a.wrapping_shr(b as u32),
+        BitAnd => a & b,
+        BitOr => a | b,
+        BitXor => a ^ b,
+        Lt | Gt | Le | Ge | Eq | Ne => compare_ints(op, a, b),
+        And => ((a != 0) && (b != 0)) as i64,
+        Or => ((a != 0) || (b != 0)) as i64,
+    })
 }
 
 fn compare_ints(op: BinOp, a: i64, b: i64) -> i64 {

@@ -5,8 +5,8 @@
 //! The crate provides everything needed to *run* a semantically valid ParC
 //! program the way the LASSI paper runs benchmark binaries:
 //!
-//! * [`value::Value`] / [`memory::Memory`] — typed scalars, host and device
-//!   buffers backed by atomic cells behind one shared handle,
+//! * [`value::Value`] / [`memory::Memory`] — copyable typed scalars, host
+//!   and device buffers behind one single-threaded shared handle,
 //! * [`eval::Evaluator`] — the statement/expression evaluator shared by host
 //!   code, CUDA kernels and OpenMP regions,
 //! * [`interp::HostInterpreter`] — runs `main`, services the CUDA runtime API
@@ -23,8 +23,8 @@
 //! [`bytecode`] is the one production engine: it lowers the checked AST once
 //! into flat register bytecode ([`bytecode::compile`]) and executes it on a
 //! dispatch-loop VM ([`bytecode::Vm`]) with preallocated register frames.
-//! The tree-walking interpreter ([`eval`] / [`interp`]) is kept unchanged as
-//! the test oracle the VM is differentially tested against; it shares the
+//! The tree-walking interpreter ([`eval`] / [`interp`]) is kept as the test
+//! oracle the VM is differentially tested against; it shares the
 //! VM's observables and error surface, but no production path selects it.
 
 pub mod backend;

@@ -1,25 +1,26 @@
-//! Host and device memory: typed buffers backed by atomic cells.
+//! Host and device memory: typed buffers of 64-bit cells.
 //!
 //! Every allocation (`malloc`, `cudaMalloc`, stack arrays, `__shared__`
-//! arrays, OpenMP-mapped sections) becomes a [`Buffer`] of 64-bit atomic
-//! cells. Buffer *contents* are accessed through atomics and the buffer
-//! *table* is guarded by an `RwLock`. That gives interior mutability through
-//! the one shared `&Memory` handle that host code, kernel blocks and
-//! work-sharing chunks all load, store and allocate through, without any
-//! unsafe code.
+//! arrays, OpenMP-mapped sections) becomes a [`Buffer`] of `Cell<u64>`
+//! elements inside a `RefCell`'d buffer table. That gives interior
+//! mutability through the one `&Memory` handle that host code, kernel
+//! blocks and work-sharing chunks all load, store and allocate through,
+//! without any unsafe code. One program run owns its `Memory` and executes
+//! on one thread (the simulators run blocks and chunks in order), so the
+//! type is deliberately not `Sync`, and `atomicAdd`/`atomicMin`/`atomicMax`
+//! are plain load-modify-store sequences.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
-use parking_lot::{Mutex, RwLock};
+use std::cell::{Cell, RefCell};
 
 use lassi_lang::Type;
 
 use crate::error::ExecError;
 use crate::value::{PtrValue, Value};
 
-/// Identifier of a buffer inside a [`Memory`].
+/// Identifier of a buffer inside a [`Memory`]. 32 bits, so a pointer
+/// [`Value`] stays two words.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct BufferId(pub usize);
+pub struct BufferId(pub u32);
 
 /// Which memory space a buffer lives in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -48,7 +49,7 @@ pub struct Buffer {
     pub mapped: bool,
     /// Byte size originally requested (for `malloc` retyping).
     raw_bytes: u64,
-    data: Vec<AtomicU64>,
+    data: Vec<Cell<u64>>,
 }
 
 impl Buffer {
@@ -83,11 +84,11 @@ impl Buffer {
     }
 
     fn load_raw(&self, idx: usize) -> Value {
-        self.decode(self.data[idx].load(Ordering::Relaxed))
+        self.decode(self.data[idx].get())
     }
 
     fn store_raw(&self, idx: usize, value: &Value) {
-        self.data[idx].store(self.encode(value), Ordering::Relaxed);
+        self.data[idx].set(self.encode(value));
     }
 }
 
@@ -117,13 +118,12 @@ pub struct MemoryStats {
     pub copied_bytes: u64,
 }
 
-/// The memory of one program execution. All methods take `&self`; the buffer
-/// table is internally synchronized so the structure can be shared across the
-/// simulator's worker threads.
+/// The memory of one program execution. All methods take `&self`; the
+/// buffer table and the statistics use single-threaded interior mutability.
 #[derive(Debug, Default)]
 pub struct Memory {
-    buffers: RwLock<Vec<Buffer>>,
-    stats: Mutex<MemoryStats>,
+    buffers: RefCell<Vec<Buffer>>,
+    stats: Cell<MemoryStats>,
 }
 
 impl Memory {
@@ -134,17 +134,23 @@ impl Memory {
 
     /// Current usage statistics.
     pub fn stats(&self) -> MemoryStats {
-        *self.stats.lock()
+        self.stats.get()
+    }
+
+    fn update_stats(&self, f: impl FnOnce(&mut MemoryStats)) {
+        let mut stats = self.stats.get();
+        f(&mut stats);
+        self.stats.set(stats);
     }
 
     /// Allocate `len` elements of `elem` in `space`, returning a pointer to
     /// element 0. Contents are zero-initialized.
     pub fn alloc(&self, name: &str, elem: Type, len: usize, space: MemSpace) -> PtrValue {
         let mut data = Vec::with_capacity(len);
-        data.resize_with(len.max(1), || AtomicU64::new(0));
+        data.resize_with(len.max(1), || Cell::new(0));
         let elem_size = elem.size_bytes().max(1);
         let raw_bytes = len as u64 * elem_size;
-        let mut buffers = self.buffers.write();
+        let mut buffers = self.buffers.borrow_mut();
         buffers.push(Buffer {
             name: name.to_string(),
             elem,
@@ -154,11 +160,12 @@ impl Memory {
             raw_bytes,
             data,
         });
-        let id = BufferId(buffers.len() - 1);
+        let id = BufferId((buffers.len() - 1) as u32);
         drop(buffers);
-        let mut stats = self.stats.lock();
-        stats.allocations += 1;
-        stats.allocated_bytes += raw_bytes;
+        self.update_stats(|stats| {
+            stats.allocations += 1;
+            stats.allocated_bytes += raw_bytes;
+        });
         PtrValue {
             buffer: id,
             offset: 0,
@@ -171,8 +178,8 @@ impl Memory {
     pub fn alloc_bytes(&self, name: &str, bytes: u64, space: MemSpace) -> PtrValue {
         let len = (bytes as usize).div_ceil(8).max(1);
         let ptr = self.alloc(name, Type::Double, len, space);
-        let mut buffers = self.buffers.write();
-        if let Some(buf) = buffers.get_mut(ptr.buffer.0) {
+        let mut buffers = self.buffers.borrow_mut();
+        if let Some(buf) = buffers.get_mut(ptr.buffer.0 as usize) {
             buf.raw_bytes = bytes;
         }
         ptr
@@ -181,8 +188,8 @@ impl Memory {
     /// Retype a buffer allocated with [`Memory::alloc_bytes`] once the program
     /// casts the `malloc` result to a concrete pointer type.
     pub fn retype(&self, id: BufferId, elem: Type) {
-        let mut buffers = self.buffers.write();
-        if let Some(buf) = buffers.get_mut(id.0) {
+        let mut buffers = self.buffers.borrow_mut();
+        if let Some(buf) = buffers.get_mut(id.0 as usize) {
             if buf.elem == elem || elem == Type::Void {
                 return;
             }
@@ -192,7 +199,7 @@ impl Memory {
                 let extra = len - buf.data.len();
                 buf.data.reserve(extra);
                 for _ in 0..extra {
-                    buf.data.push(AtomicU64::new(0));
+                    buf.data.push(Cell::new(0));
                 }
             } else {
                 buf.data.truncate(len);
@@ -202,8 +209,8 @@ impl Memory {
 
     /// Rename a buffer for nicer diagnostics once it is bound to a variable.
     pub fn rename(&self, id: BufferId, name: &str) {
-        let mut buffers = self.buffers.write();
-        if let Some(buf) = buffers.get_mut(id.0) {
+        let mut buffers = self.buffers.borrow_mut();
+        if let Some(buf) = buffers.get_mut(id.0 as usize) {
             if buf.name.is_empty() || buf.name == "<anon>" {
                 buf.name = name.to_string();
             }
@@ -215,8 +222,8 @@ impl Memory {
         if ptr.offset != 0 {
             return Err(ExecError::InvalidFree { line });
         }
-        let mut buffers = self.buffers.write();
-        match buffers.get_mut(ptr.buffer.0) {
+        let mut buffers = self.buffers.borrow_mut();
+        match buffers.get_mut(ptr.buffer.0 as usize) {
             Some(buf) => {
                 if buf.freed {
                     return Err(ExecError::InvalidFree { line });
@@ -230,8 +237,8 @@ impl Memory {
 
     /// Summary of a buffer by id.
     pub fn buffer_info(&self, id: BufferId) -> Option<BufferInfo> {
-        let buffers = self.buffers.read();
-        buffers.get(id.0).map(|b| BufferInfo {
+        let buffers = self.buffers.borrow();
+        buffers.get(id.0 as usize).map(|b| BufferInfo {
             name: b.name.clone(),
             elem: b.elem.clone(),
             space: b.space,
@@ -242,17 +249,23 @@ impl Memory {
 
     /// Element count of a buffer (0 if unknown).
     pub fn buffer_len(&self, id: BufferId) -> usize {
-        self.buffers.read().get(id.0).map_or(0, |b| b.len())
+        self.buffers
+            .borrow()
+            .get(id.0 as usize)
+            .map_or(0, |b| b.len())
     }
 
     /// Element type of a buffer.
     pub fn buffer_elem(&self, id: BufferId) -> Option<Type> {
-        self.buffers.read().get(id.0).map(|b| b.elem.clone())
+        self.buffers
+            .borrow()
+            .get(id.0 as usize)
+            .map(|b| b.elem.clone())
     }
 
     /// Number of buffers ever allocated.
     pub fn buffer_count(&self) -> usize {
-        self.buffers.read().len()
+        self.buffers.borrow().len()
     }
 
     fn with_access<R>(
@@ -263,9 +276,9 @@ impl Memory {
         line: u32,
         f: impl FnOnce(&Buffer, usize) -> R,
     ) -> Result<R, ExecError> {
-        let buffers = self.buffers.read();
+        let buffers = self.buffers.borrow();
         let buf = buffers
-            .get(ptr.buffer.0)
+            .get(ptr.buffer.0 as usize)
             .ok_or(ExecError::NullPointer { line })?;
         if buf.freed {
             return Err(ExecError::UseAfterFree {
@@ -368,24 +381,13 @@ impl Memory {
         line: u32,
     ) -> Result<Value, ExecError> {
         self.with_access(ptr, index, from_device, line, |buf, idx| {
-            let cell = &buf.data[idx];
-            loop {
-                let old_bits = cell.load(Ordering::Relaxed);
-                let old = buf.decode(old_bits);
-                let new = match buf.elem {
-                    Type::Int | Type::Long | Type::Bool => {
-                        Value::Int(old.as_int() + delta.as_int())
-                    }
-                    _ => Value::Float(old.as_float() + delta.as_float()),
-                };
-                let new_bits = buf.encode(&new);
-                if cell
-                    .compare_exchange_weak(old_bits, new_bits, Ordering::Relaxed, Ordering::Relaxed)
-                    .is_ok()
-                {
-                    return old;
-                }
-            }
+            let old = buf.load_raw(idx);
+            let new = match buf.elem {
+                Type::Int | Type::Long | Type::Bool => Value::Int(old.as_int() + delta.as_int()),
+                _ => Value::Float(old.as_float() + delta.as_float()),
+            };
+            buf.store_raw(idx, &new);
+            old
         })
     }
 
@@ -400,28 +402,19 @@ impl Memory {
         line: u32,
     ) -> Result<Value, ExecError> {
         self.with_access(ptr, index, from_device, line, |buf, idx| {
-            let cell = &buf.data[idx];
-            loop {
-                let old_bits = cell.load(Ordering::Relaxed);
-                let old = buf.decode(old_bits);
-                let new = match buf.elem {
-                    Type::Int | Type::Long | Type::Bool => {
-                        let (a, b) = (old.as_int(), operand.as_int());
-                        Value::Int(if is_max { a.max(b) } else { a.min(b) })
-                    }
-                    _ => {
-                        let (a, b) = (old.as_float(), operand.as_float());
-                        Value::Float(if is_max { a.max(b) } else { a.min(b) })
-                    }
-                };
-                let new_bits = buf.encode(&new);
-                if cell
-                    .compare_exchange_weak(old_bits, new_bits, Ordering::Relaxed, Ordering::Relaxed)
-                    .is_ok()
-                {
-                    return old;
+            let old = buf.load_raw(idx);
+            let new = match buf.elem {
+                Type::Int | Type::Long | Type::Bool => {
+                    let (a, b) = (old.as_int(), operand.as_int());
+                    Value::Int(if is_max { a.max(b) } else { a.min(b) })
                 }
-            }
+                _ => {
+                    let (a, b) = (old.as_float(), operand.as_float());
+                    Value::Float(if is_max { a.max(b) } else { a.min(b) })
+                }
+            };
+            buf.store_raw(idx, &new);
+            old
         })
     }
 
@@ -435,12 +428,12 @@ impl Memory {
         count_bytes: u64,
         line: u32,
     ) -> Result<(), ExecError> {
-        let buffers = self.buffers.read();
+        let buffers = self.buffers.borrow();
         let src_buf = buffers
-            .get(src.buffer.0)
+            .get(src.buffer.0 as usize)
             .ok_or(ExecError::NullPointer { line })?;
         let dst_buf = buffers
-            .get(dst.buffer.0)
+            .get(dst.buffer.0 as usize)
             .ok_or(ExecError::NullPointer { line })?;
         if src_buf.freed {
             return Err(ExecError::UseAfterFree {
@@ -483,15 +476,15 @@ impl Memory {
             dst_buf.store_raw(didx as usize, &v);
         }
         drop(buffers);
-        self.stats.lock().copied_bytes += count_bytes;
+        self.update_stats(|stats| stats.copied_bytes += count_bytes);
         Ok(())
     }
 
     /// Mark a host buffer as mapped to the device (OpenMP `map` clauses),
     /// making it legal to access from device code.
     pub fn set_mapped(&self, id: BufferId, mapped: bool) {
-        let mut buffers = self.buffers.write();
-        if let Some(buf) = buffers.get_mut(id.0) {
+        let mut buffers = self.buffers.borrow_mut();
+        if let Some(buf) = buffers.get_mut(id.0 as usize) {
             buf.mapped = mapped;
         }
     }
@@ -589,23 +582,38 @@ mod tests {
     }
 
     #[test]
-    fn atomic_add_is_thread_safe() {
-        use std::sync::Arc;
-        let mem = Arc::new(Memory::new());
-        let p = mem.alloc("sum", Type::Int, 1, MemSpace::Device);
-        let mut handles = Vec::new();
-        for _ in 0..8 {
-            let mem = Arc::clone(&mem);
-            handles.push(std::thread::spawn(move || {
-                for _ in 0..1000 {
-                    mem.atomic_add(&p, 0, &Value::Int(1), true, 1).unwrap();
-                }
-            }));
+    fn interleaved_atomics_are_exact_and_bounds_checked() {
+        let mem = Memory::new();
+        let ints = mem.alloc("hist", Type::Int, 2, MemSpace::Device);
+        let floats = mem.alloc("acc", Type::Float, 2, MemSpace::Device);
+        for k in 0..100i64 {
+            let old = mem.atomic_add(&ints, 1, &Value::Int(k), true, 1).unwrap();
+            assert_eq!(
+                old,
+                Value::Int(k * (k - 1) / 2),
+                "atomic_add returns the old value"
+            );
+            mem.atomic_minmax(&ints, 0, &Value::Int(k % 37), true, true, 1)
+                .unwrap();
+            mem.atomic_add(&floats, 0, &Value::Float(0.25), true, 1)
+                .unwrap();
+            mem.atomic_minmax(&floats, 1, &Value::Float(-(k as f64)), false, true, 1)
+                .unwrap();
         }
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(mem.load(&p, 0, true, 1).unwrap(), Value::Int(8000));
+        assert_eq!(mem.load(&ints, 1, true, 1).unwrap(), Value::Int(4950));
+        assert_eq!(mem.load(&ints, 0, true, 1).unwrap(), Value::Int(36));
+        assert_eq!(mem.load(&floats, 0, true, 1).unwrap(), Value::Float(25.0));
+        assert_eq!(mem.load(&floats, 1, true, 1).unwrap(), Value::Float(-99.0));
+
+        let err = mem
+            .atomic_add(&ints, 2, &Value::Int(1), true, 4)
+            .unwrap_err();
+        assert_eq!(err.category(), "out_of_bounds");
+        let err = mem
+            .atomic_minmax(&floats, -1, &Value::Float(1.0), true, true, 4)
+            .unwrap_err();
+        assert_eq!(err.category(), "out_of_bounds");
+        assert_eq!(mem.load(&ints, 1, true, 1).unwrap(), Value::Int(4950));
     }
 
     #[test]

@@ -8,19 +8,21 @@
 
 use crate::value::Value;
 
-/// Format `args` according to the C-style format string `fmt`.
+/// Format `args` according to the C-style format string `fmt`. `%s`
+/// arguments that are string literals resolve through `strings`, the pool of
+/// the program that issued them (see [`Value::Str`]).
 ///
 /// Unknown conversions are emitted literally; missing arguments format as
 /// `0`, mirroring the forgiving behaviour the pipeline needs when judging
 /// partially wrong generated code.
-pub fn format(fmt: &str, args: &[Value]) -> String {
+pub fn format(fmt: &str, args: &[Value], strings: &[String]) -> String {
     let mut out = String::with_capacity(fmt.len() + 16);
     let chars: Vec<char> = fmt.chars().collect();
     let mut i = 0;
     let mut arg_idx = 0;
 
     let next_arg = |arg_idx: &mut usize| -> Value {
-        let v = args.get(*arg_idx).cloned().unwrap_or(Value::Int(0));
+        let v = args.get(*arg_idx).copied().unwrap_or(Value::Int(0));
         *arg_idx += 1;
         v
     };
@@ -83,11 +85,7 @@ pub fn format(fmt: &str, args: &[Value]) -> String {
                 push_padded(&mut out, &format_g(v), width_spec);
             }
             's' => {
-                let v = next_arg(&mut arg_idx);
-                let s = match v {
-                    Value::Str(s) => s,
-                    other => other.to_string(),
-                };
+                let s = next_arg(&mut arg_idx).text(strings);
                 push_padded(&mut out, &s, width_spec);
             }
             'c' => {
@@ -197,50 +195,57 @@ mod tests {
     #[test]
     fn basic_integers_and_floats() {
         assert_eq!(
-            format("n=%d s=%f\n", &[Value::Int(7), Value::Float(2.5)]),
+            format("n=%d s=%f\n", &[Value::Int(7), Value::Float(2.5)], &[]),
             "n=7 s=2.500000\n"
         );
-        assert_eq!(format("%ld", &[Value::Int(-12)]), "-12");
-        assert_eq!(format("%lu", &[Value::Int(12)]), "12");
+        assert_eq!(format("%ld", &[Value::Int(-12)], &[]), "-12");
+        assert_eq!(format("%lu", &[Value::Int(12)], &[]), "12");
     }
 
     #[test]
     fn precision_and_width() {
-        assert_eq!(format("%.2f", &[Value::Float(2.46913)]), "2.47");
-        assert_eq!(format("%8.3f", &[Value::Float(1.5)]), "   1.500");
-        assert_eq!(format("%5d", &[Value::Int(42)]), "   42");
-        assert_eq!(format("%-5d|", &[Value::Int(42)]), "42   |");
+        assert_eq!(format("%.2f", &[Value::Float(2.46913)], &[]), "2.47");
+        assert_eq!(format("%8.3f", &[Value::Float(1.5)], &[]), "   1.500");
+        assert_eq!(format("%5d", &[Value::Int(42)], &[]), "   42");
+        assert_eq!(format("%-5d|", &[Value::Int(42)], &[]), "42   |");
     }
 
     #[test]
     fn exponent_format_matches_c() {
-        assert_eq!(format("%e", &[Value::Float(1234.5)]), "1.234500e+03");
-        assert_eq!(format("%.2e", &[Value::Float(0.00125)]), "1.25e-03");
+        assert_eq!(format("%e", &[Value::Float(1234.5)], &[]), "1.234500e+03");
+        assert_eq!(format("%.2e", &[Value::Float(0.00125)], &[]), "1.25e-03");
     }
 
     #[test]
     fn g_format() {
-        assert_eq!(format("%g", &[Value::Float(0.5)]), "0.5");
-        assert_eq!(format("%g", &[Value::Float(3.0)]), "3");
-        assert_eq!(format("%g", &[Value::Float(0.0)]), "0");
+        assert_eq!(format("%g", &[Value::Float(0.5)], &[]), "0.5");
+        assert_eq!(format("%g", &[Value::Float(3.0)], &[]), "3");
+        assert_eq!(format("%g", &[Value::Float(0.0)], &[]), "0");
     }
 
     #[test]
     fn percent_literal_and_strings() {
         assert_eq!(
-            format("100%% done: %s", &[Value::Str("ok".into())]),
+            format(
+                "100%% done: %s",
+                &[Value::Str(1)],
+                &["unused".into(), "ok".into()]
+            ),
             "100% done: ok"
         );
     }
 
     #[test]
     fn missing_arguments_default_to_zero() {
-        assert_eq!(format("%d %d", &[Value::Int(1)]), "1 0");
+        assert_eq!(format("%d %d", &[Value::Int(1)], &[]), "1 0");
     }
 
     #[test]
     fn char_and_hex() {
-        assert_eq!(format("%c%c", &[Value::Int(104), Value::Int(105)]), "hi");
-        assert_eq!(format("%x", &[Value::Int(255)]), "ff");
+        assert_eq!(
+            format("%c%c", &[Value::Int(104), Value::Int(105)], &[]),
+            "hi"
+        );
+        assert_eq!(format("%x", &[Value::Int(255)], &[]), "ff");
     }
 }

@@ -1,4 +1,12 @@
 //! Runtime values.
+//!
+//! [`Value`] is `Copy` and two words (16 bytes), so the VM fills, moves and
+//! coerces registers with plain copies. The one value that would own heap
+//! data, a string literal, is held as an id into the executing program's
+//! string pool instead: [`crate::bytecode::CompiledProgram::names`] for the
+//! VM, the evaluator's literal pool for the interpreter. No store keeps a
+//! string (buffers hold numbers only), so an id never outlives the run of
+//! the program that issued it.
 
 use crate::memory::{BufferId, MemSpace};
 use lassi_lang::Type;
@@ -54,7 +62,7 @@ pub struct PtrValue {
 }
 
 /// Any runtime value.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Value {
     /// Integer (covers `bool`, `int` and `long`).
     Int(i64),
@@ -66,8 +74,9 @@ pub enum Value {
     NullPtr,
     /// CUDA `dim3`.
     Dim3(Dim3Val),
-    /// String literal (printf format strings).
-    Str(String),
+    /// String literal (printf format strings): an id into the executing
+    /// program's string pool (see the module docs).
+    Str(u32),
     /// No value.
     Void,
 }
@@ -116,7 +125,16 @@ impl Value {
                 Value::Dim3(d) => Value::Dim3(*d),
                 other => Value::Dim3(Dim3Val::linear(other.as_int().max(0) as u32)),
             },
-            Type::Ptr(_) | Type::Void => self.clone(),
+            Type::Ptr(_) | Type::Void => *self,
+        }
+    }
+
+    /// The value as `printf`'s `%s` renders it, resolving a string id
+    /// through `strings`, the pool of the program that issued it.
+    pub fn text(&self, strings: &[String]) -> String {
+        match self {
+            Value::Str(id) => strings[*id as usize].clone(),
+            other => other.to_string(),
         }
     }
 
@@ -140,11 +158,21 @@ impl fmt::Display for Value {
             Value::Ptr(p) => write!(f, "<ptr buf{} +{}>", p.buffer.0, p.offset),
             Value::NullPtr => write!(f, "<null>"),
             Value::Dim3(d) => write!(f, "{d}"),
-            Value::Str(s) => write!(f, "{s}"),
+            Value::Str(id) => write!(f, "<str #{id}>"),
             Value::Void => write!(f, "<void>"),
         }
     }
 }
+
+// Registers are refilled for every simulated GPU thread and copied by
+// almost every instruction: keep them plain two-word copies. (At 24 bytes
+// the enum tag lands in the pointer's `space` byte and each register copy
+// compiles to a chain of partial moves.)
+const _: () = {
+    const fn assert_copy<T: Copy>() {}
+    assert_copy::<Value>();
+    assert!(std::mem::size_of::<Value>() <= 16);
+};
 
 #[cfg(test)]
 mod tests {
@@ -186,5 +214,18 @@ mod tests {
         assert_eq!(Value::zero_of(&Type::Int), Value::Int(0));
         assert_eq!(Value::zero_of(&Type::Double), Value::Float(0.0));
         assert_eq!(Value::zero_of(&Type::Float.ptr()), Value::NullPtr);
+    }
+
+    #[test]
+    fn strings_resolve_through_their_pool() {
+        let pool = vec!["fmt".to_string(), "ok".to_string()];
+        assert_eq!(Value::Str(1).text(&pool), "ok");
+        assert_eq!(Value::Int(7).text(&pool), "7");
+        let ptr = Value::Str(0).coerce_to(&Type::Int.ptr());
+        assert_eq!(
+            ptr,
+            Value::Str(0),
+            "pointer coercion passes strings through"
+        );
     }
 }
