@@ -181,26 +181,36 @@ impl GpuSimulator {
 
     /// Bytecode twin of [`GpuSimulator::run_block`]: one VM per thread of the
     /// block, stepped segment by segment so `__syncthreads()` barriers hold.
+    /// `launch_frame` is the kernel's initial frame with the coerced
+    /// arguments in place and `threads` a block's thread coordinates, both
+    /// built once per launch.
     fn run_compiled_block(
         &self,
         req: &CompiledKernelLaunch<'_>,
         mem: &Memory,
         block_idx: Dim3Val,
+        launch_frame: &[Value],
+        threads: &[Dim3Val],
     ) -> Result<CostCounter, ExecError> {
         let kernel = &req.program.kernels[req.kernel as usize];
 
-        // Allocate this block's shared memory.
-        let mut shared_ptrs: Vec<(u32, Value)> = Vec::with_capacity(kernel.shared.len());
+        // This block's initial frame: the launch frame plus the pointers to
+        // the block's shared memory, allocated here.
+        let mut frame = launch_frame.to_vec();
         for decl in &kernel.shared {
             let len = match &decl.len {
                 SharedLen::Lit(v) => (*v).max(1) as usize,
-                SharedLen::Dynamic { entry, nslots } => {
+                SharedLen::Dynamic {
+                    entry,
+                    nslots,
+                    consts,
+                } => {
                     // Evaluate the length with the kernel arguments in scope.
+                    let mut len_frame = consts.frame(*nslots);
+                    let params = kernel.params.len();
+                    len_frame[..params].copy_from_slice(&launch_frame[..params]);
                     let mut vm = Vm::for_context(req.program, EvalContext::Host, 100_000);
-                    vm.prepare_frame(*nslots);
-                    for (i, (ty, arg)) in kernel.params.iter().zip(&req.args).enumerate() {
-                        vm.set_slot(i as u32, arg.coerce_to(ty));
-                    }
+                    vm.load_frame(&len_frame);
                     match vm.run_unit(mem, *entry)? {
                         lassi_runtime::ControlFlow::Return(v) => v.as_int().max(1) as usize,
                         _ => 1,
@@ -209,40 +219,26 @@ impl GpuSimulator {
                 SharedLen::One => 1,
             };
             let ptr = mem.alloc(&decl.name, decl.elem.clone(), len, MemSpace::Shared);
-            shared_ptrs.push((decl.slot, Value::Ptr(ptr)));
+            frame[decl.slot as usize] = Value::Ptr(ptr);
         }
 
-        let threads = Self::thread_coords(req.block);
+        let thread_ctx = |tid: Dim3Val| EvalContext::DeviceThread {
+            thread_idx: tid,
+            block_idx,
+            block_dim: req.block,
+            grid_dim: req.grid,
+        };
 
         // Single segment (no top-level `__syncthreads()`): every thread runs
         // to completion before the next starts, so one reused VM serves the
         // whole block — no per-thread register-stack allocation. Costs keep
         // accumulating in the VM and are taken once at the end.
         if kernel.segments.len() == 1 {
-            let mut vm = Vm::for_context(
-                req.program,
-                EvalContext::DeviceThread {
-                    thread_idx: Dim3Val { x: 0, y: 0, z: 0 },
-                    block_idx,
-                    block_dim: req.block,
-                    grid_dim: req.grid,
-                },
-                THREAD_STEP_LIMIT,
-            );
-            for &tid in &threads {
-                vm.reset_thread(EvalContext::DeviceThread {
-                    thread_idx: tid,
-                    block_idx,
-                    block_dim: req.block,
-                    grid_dim: req.grid,
-                });
-                vm.prepare_frame(kernel.nslots);
-                for (i, (ty, arg)) in kernel.params.iter().zip(&req.args).enumerate() {
-                    vm.set_slot(i as u32, arg.coerce_to(ty));
-                }
-                for (slot, ptr) in &shared_ptrs {
-                    vm.set_slot(*slot, *ptr);
-                }
+            let origin = thread_ctx(Dim3Val { x: 0, y: 0, z: 0 });
+            let mut vm = Vm::for_context(req.program, origin, THREAD_STEP_LIMIT);
+            for &tid in threads {
+                vm.reset_thread(thread_ctx(tid));
+                vm.load_frame(&frame);
                 match vm.run_unit(mem, kernel.segments[0]) {
                     Ok(_) => {}
                     Err(ExecError::BarrierDivergence { .. }) => {
@@ -259,20 +255,8 @@ impl GpuSimulator {
         let mut states: Vec<(Vm<'_>, bool)> = threads
             .iter()
             .map(|&tid| {
-                let ctx = EvalContext::DeviceThread {
-                    thread_idx: tid,
-                    block_idx,
-                    block_dim: req.block,
-                    grid_dim: req.grid,
-                };
-                let mut vm = Vm::for_context(req.program, ctx, THREAD_STEP_LIMIT);
-                vm.prepare_frame(kernel.nslots);
-                for (i, (ty, arg)) in kernel.params.iter().zip(&req.args).enumerate() {
-                    vm.set_slot(i as u32, arg.coerce_to(ty));
-                }
-                for (slot, ptr) in &shared_ptrs {
-                    vm.set_slot(*slot, *ptr);
-                }
+                let mut vm = Vm::for_context(req.program, thread_ctx(tid), THREAD_STEP_LIMIT);
+                vm.load_frame(&frame);
                 (vm, false)
             })
             .collect();
@@ -366,9 +350,18 @@ impl ParallelBackend for GpuSimulator {
             )));
         }
 
+        // Launch-invariant set-up, done once: the kernel's initial frame
+        // with the arguments coerced to the parameter types, and the thread
+        // coordinates every block walks.
+        let mut frame = kernel.consts.frame(kernel.nslots);
+        for (slot, (ty, arg)) in frame.iter_mut().zip(kernel.params.iter().zip(&req.args)) {
+            *slot = arg.coerce_to(ty);
+        }
+        let threads = Self::thread_coords(req.block);
+
         let mut cost = CostCounter::new();
         for block_idx in Self::block_coords(req.grid) {
-            cost.merge(&self.run_compiled_block(req, mem, block_idx)?);
+            cost.merge(&self.run_compiled_block(req, mem, block_idx, &frame, &threads)?);
         }
         let simulated_seconds = self.model.kernel_seconds(req.grid, req.block, &cost);
         Ok(LaunchStats {

@@ -138,6 +138,7 @@ pub fn run_application(app: &Application, dialect: Dialect) -> Result<ExecutionR
 mod tests {
     use super::*;
     use crate::apps::application;
+    use lassi_runtime::bytecode::Instr;
     use lassi_runtime::HostInterpreter;
 
     #[test]
@@ -219,6 +220,63 @@ mod tests {
                     ),
                 }
             }
+        }
+    }
+
+    /// The instructions of a compiled kernel: its first segment's entry
+    /// through the `EndUnit` that closes its last segment.
+    fn kernel_code<'c>(prog: &'c lassi_runtime::CompiledProgram, name: &str) -> (&'c [Instr], u32) {
+        let kernel = prog.kernels.iter().find(|k| k.name == name).unwrap();
+        let start = kernel.segments[0] as usize;
+        let last = *kernel.segments.last().unwrap() as usize;
+        let end = last
+            + prog.code[last..]
+                .iter()
+                .position(|i| matches!(i, Instr::EndUnit { .. }))
+                .unwrap();
+        (&prog.code[start..=end], kernel.nslots)
+    }
+
+    #[test]
+    fn bytecode_lowering_shape_of_the_hot_kernels() {
+        // Operands are read where they live: no copy of a local or a literal
+        // just to feed the next instruction, one instruction per
+        // thread-coordinate read, and statement entries that carry the
+        // charges following them. The sizes are pinned so a silent fall-back
+        // to copy-then-operate lowering fails here.
+        for (app, kernel, len, nslots) in [
+            ("jacobi", "jacobi_sweep", 38, 18),
+            ("colorwheel", "shade", 32, 19),
+        ] {
+            let source = application(app).unwrap().source(Dialect::CudaLite);
+            let program = lassi_lang::parse(source, Dialect::CudaLite).unwrap();
+            let compiled = lassi_runtime::compile(&program, 0);
+            let (code, slots) = kernel_code(&compiled, kernel);
+            for pair in code.windows(2) {
+                let shape = format!("{kernel}: {:?} then {:?}", pair[0], pair[1]);
+                assert!(
+                    !matches!(pair[0], Instr::LoadVar { .. } | Instr::Const { .. }),
+                    "copy feeding an operand in {shape}"
+                );
+                assert!(
+                    !matches!(
+                        (&pair[0], &pair[1]),
+                        (Instr::LoadSpecial { .. }, Instr::MemberGet { .. })
+                    ),
+                    "unfused thread-coordinate read in {shape}"
+                );
+                assert!(
+                    !matches!(
+                        (&pair[0], &pair[1]),
+                        (
+                            Instr::Stmt { .. } | Instr::StmtBranch { .. },
+                            Instr::Charge { .. }
+                        )
+                    ),
+                    "unfolded statement charge in {shape}"
+                );
+            }
+            assert_eq!((code.len(), slots), (len, nslots), "{kernel} size");
         }
     }
 

@@ -270,6 +270,19 @@ impl ParallelBackend for OmpSimulator {
             .spec
             .region_resources(&region.directive, req.offload, iterations);
 
+        // Every chunk starts from one frame: the captured bindings, with the
+        // private copies of reduction variables at the identity.
+        let mut frame = region.consts.frame(region.nslots);
+        frame[..req.captures.len()].copy_from_slice(&req.captures);
+        for r in &region.reductions {
+            let ident = reduction_identity(r.op, &r.ty);
+            frame[r.init_slot as usize] = if r.init_coerce {
+                ident.coerce_to(&r.ty)
+            } else {
+                ident
+            };
+        }
+
         // Functional execution over chunks of the iteration space.
         let chunk_count = EXEC_CHUNKS.min(iterations.max(1));
         let chunk_size = iterations.div_ceil(chunk_count).max(1);
@@ -293,20 +306,7 @@ impl ParallelBackend for OmpSimulator {
                     offloaded: req.offload,
                 };
                 let mut vm = Vm::for_context(req.program, ctx, WORKER_STEP_LIMIT);
-                vm.prepare_frame(region.nslots);
-                for (i, v) in req.captures.iter().enumerate() {
-                    vm.set_slot(i as u32, *v);
-                }
-                // Private copies of reduction variables start at the identity.
-                for r in &region.reductions {
-                    let ident = reduction_identity(r.op, &r.ty);
-                    let seed = if r.init_coerce {
-                        ident.coerce_to(&r.ty)
-                    } else {
-                        ident
-                    };
-                    vm.set_slot(r.init_slot, seed);
-                }
+                vm.load_frame(&frame);
                 // Loop variable is private to each iteration.
                 for k in first..last {
                     let i = req.lo + (k as i64) * req.step;

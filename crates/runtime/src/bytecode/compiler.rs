@@ -6,12 +6,29 @@
 //! interpreter's dynamic scope stack (within a function the two agree — ParC
 //! has no gotos, so the set of live bindings at a program point is static).
 //!
+//! Operands are read where they already live. An identifier that resolves
+//! to a local returns that slot as the operand register, and a literal
+//! returns one of the unit's constant slots ([`super::ConstSlots`]), filled
+//! when the frame is set up; neither emits an instruction. Expressions
+//! cannot assign, so the one expression that writes a local slot is
+//! `cudaMalloc(&v, ...)`: in a statement that calls it, locals and literals
+//! are copied into fresh registers ([`Instr::LoadVar`] / [`Instr::Const`])
+//! so a later operand cannot see the write. Copies are also kept in argument
+//! windows of two or more registers, which must be contiguous, and for an
+//! offloaded loop's bounds, which are held across its map clauses. A
+//! `threadIdx.x`-style member read of a context builtin is one
+//! [`Instr::ThreadCoord`].
+//!
 //! Step parity with the interpreter is the one invariant everything else
-//! leans on; see the charging table in [`super::instr`]. The compiler may
-//! merge adjacent [`Instr::Charge`] instructions, but never across a bound
-//! label — a jump landing between two merged charges would observe the wrong
-//! step count.
+//! leans on; see the charging table in [`super::instr`]. An expression
+//! node's step is folded into the charging instruction emitted directly
+//! before it ([`Instr::Charge`], a statement entry, a loop head, ...) and
+//! never across a bound label: a jump landing between the two would observe
+//! the wrong step count. Folding moves a charge only past instructions that
+//! were never emitted, so the kill step, its error and every later reading
+//! of the counter are unchanged.
 
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 
 use lassi_lang::{
@@ -22,7 +39,7 @@ use lassi_lang::{
 use super::instr::{Axis, FlowKind, Instr, MathFn, Reg, SpecialIdent};
 use super::{
     CompiledFunction, CompiledKernel, CompiledProgram, CompiledReduction, CompiledRegion,
-    CompiledShared, HostUnit, SharedLen,
+    CompiledShared, ConstSlots, HostUnit, SharedLen,
 };
 use crate::value::Value;
 
@@ -102,6 +119,8 @@ struct FnCtx {
     high: Reg,
     loops: Vec<LoopCtx>,
     map_depth: u32,
+    /// The unit's constant slots, by value.
+    consts: HashMap<ConstKey, Reg>,
 }
 
 impl FnCtx {
@@ -112,6 +131,7 @@ impl FnCtx {
             high: 0,
             loops: Vec::new(),
             map_depth: 0,
+            consts: HashMap::new(),
         }
     }
 
@@ -180,6 +200,10 @@ struct Compiler<'p> {
     /// `code.len()` at the most recent bound label; charges never merge
     /// across it.
     last_label: usize,
+    /// Set while compiling a statement that calls `cudaMalloc`, the one
+    /// expression that writes a local slot: locals and literals are then
+    /// copied instead of read in place.
+    copy_leaves: bool,
 }
 
 impl<'p> Compiler<'p> {
@@ -199,6 +223,7 @@ impl<'p> Compiler<'p> {
             regions: Vec::new(),
             host: None,
             last_label: 0,
+            copy_leaves: false,
         }
     }
 
@@ -256,11 +281,21 @@ impl<'p> Compiler<'p> {
         }
     }
 
-    /// Charge one expression-node step, merging into a trailing `Charge`
-    /// when no label was bound since it was emitted.
+    /// Charge one expression-node step, merging into the trailing charging
+    /// instruction when no label was bound since it was emitted. Only
+    /// instructions that charge before anything else they do and cannot
+    /// fail afterwards take merged steps.
     fn charge(&mut self) {
         if self.code.len() > self.last_label {
-            if let Some(Instr::Charge { n }) = self.code.last_mut() {
+            if let Some(
+                Instr::Charge { n }
+                | Instr::Stmt { n, .. }
+                | Instr::StmtBranch { n, .. }
+                | Instr::LoopIter { n }
+                | Instr::TernaryBranch { n }
+                | Instr::CallPre { n },
+            ) = self.code.last_mut()
+            {
                 *n += 1;
                 return;
             }
@@ -268,37 +303,85 @@ impl<'p> Compiler<'p> {
         self.emit(Instr::Charge { n: 1 });
     }
 
+    /// Give each literal the unit's statements evaluate a constant slot in
+    /// `ctx`'s frame, allocated at the current watermark.
+    fn reserve_consts<'s>(
+        &mut self,
+        stmts: impl IntoIterator<Item = &'s Stmt>,
+        ctx: &mut FnCtx,
+    ) -> ConstSlots {
+        let mut literals = Vec::new();
+        for s in stmts {
+            walk_stmts(s, false, &mut |st| {
+                own_exprs(st, &mut |e| self.collect_literals(e, &mut literals))
+            });
+        }
+        self.const_slots(literals, ctx)
+    }
+
+    fn collect_literals(&mut self, e: &Expr, out: &mut Vec<Value>) {
+        walk_expr(e, &mut |node| out.extend(self.literal_value(node)));
+    }
+
+    /// Allocate one slot per distinct value of `literals` at the current
+    /// watermark.
+    fn const_slots(&mut self, literals: Vec<Value>, ctx: &mut FnCtx) -> ConstSlots {
+        let mut values = Vec::new();
+        for v in literals {
+            if let Entry::Vacant(slot) = ctx.consts.entry(ConstKey::of(&v)) {
+                slot.insert(ctx.next_slot + values.len() as Reg);
+                values.push(v);
+            }
+        }
+        let base = ctx.alloc_n(values.len() as u32);
+        ConstSlots { base, values }
+    }
+
+    fn literal_value(&mut self, e: &Expr) -> Option<Value> {
+        Some(match e {
+            Expr::IntLit(v) => Value::Int(*v),
+            Expr::FloatLit(v) => Value::Float(*v),
+            Expr::StrLit(s) => Value::Str(self.name_id(s)),
+            Expr::Sizeof(ty) => Value::Int(ty.size_bytes() as i64),
+            _ => return None,
+        })
+    }
+
+    /// A literal's value: read in place from its constant slot, or copied
+    /// into a fresh register when `copy` is set or the unit has no slot for
+    /// it (a literal synthesized by the lowering itself).
+    fn literal(&mut self, v: Value, ctx: &mut FnCtx, copy: bool) -> Reg {
+        if !copy {
+            if let Some(&slot) = ctx.consts.get(&ConstKey::of(&v)) {
+                self.charge();
+                return slot;
+            }
+        }
+        let id = self.const_id(v);
+        let dst = ctx.alloc();
+        self.emit(Instr::Const { dst, id });
+        dst
+    }
+
     // -------------------------------------------------------- expressions
 
     /// Compile an expression; returns the register holding its value.
+    /// Locals and literals are read in place unless the statement being
+    /// compiled calls `cudaMalloc`.
     fn expr(&mut self, e: &Expr, ctx: &mut FnCtx) -> Reg {
+        self.operand(e, ctx, self.copy_leaves)
+    }
+
+    /// [`Compiler::expr`], where `copy` decides whether a local or literal at
+    /// the root of `e` is copied into a fresh register. Subexpressions follow
+    /// the statement's rule.
+    fn operand(&mut self, e: &Expr, ctx: &mut FnCtx, copy: bool) -> Reg {
         match e {
-            Expr::IntLit(v) => {
-                let id = self.const_id(Value::Int(*v));
-                let dst = ctx.alloc();
-                self.emit(Instr::Const { dst, id });
-                dst
+            Expr::IntLit(_) | Expr::FloatLit(_) | Expr::StrLit(_) | Expr::Sizeof(_) => {
+                let v = self.literal_value(e).expect("a literal");
+                self.literal(v, ctx, copy)
             }
-            Expr::FloatLit(v) => {
-                let id = self.const_id(Value::Float(*v));
-                let dst = ctx.alloc();
-                self.emit(Instr::Const { dst, id });
-                dst
-            }
-            Expr::StrLit(s) => {
-                let text = self.name_id(s);
-                let id = self.const_id(Value::Str(text));
-                let dst = ctx.alloc();
-                self.emit(Instr::Const { dst, id });
-                dst
-            }
-            Expr::Sizeof(ty) => {
-                let id = self.const_id(Value::Int(ty.size_bytes() as i64));
-                let dst = ctx.alloc();
-                self.emit(Instr::Const { dst, id });
-                dst
-            }
-            Expr::Ident(name) => self.ident(name, ctx),
+            Expr::Ident(name) => self.ident(name, ctx, copy),
             Expr::Binary { op, lhs, rhs } => self.binary(*op, lhs, rhs, ctx),
             Expr::Unary { op, operand } => match op {
                 UnOp::Neg => {
@@ -339,12 +422,30 @@ impl<'p> Compiler<'p> {
             }
             Expr::Member { base, field } => {
                 self.charge();
-                let src = self.expr(base, ctx);
                 let axis = match field.as_str() {
                     "x" => Axis::X,
                     "y" => Axis::Y,
                     _ => Axis::Z,
                 };
+                let special = match base.as_ref() {
+                    Expr::Ident(name) if ctx.resolve(name).is_none() => {
+                        special_ident(name).map(|which| (which, name))
+                    }
+                    _ => None,
+                };
+                if let Some((which, name)) = special {
+                    self.charge();
+                    let name = self.name_id(name);
+                    let dst = ctx.alloc();
+                    self.emit(Instr::ThreadCoord {
+                        dst,
+                        which,
+                        axis,
+                        name,
+                    });
+                    return dst;
+                }
+                let src = self.expr(base, ctx);
                 let field = self.name_id(field);
                 let dst = ctx.alloc();
                 self.emit(Instr::MemberGet {
@@ -377,7 +478,7 @@ impl<'p> Compiler<'p> {
                 else_expr,
             } => {
                 let dst = ctx.alloc();
-                self.emit(Instr::TernaryBranch);
+                self.emit(Instr::TernaryBranch { n: 1 });
                 let c = self.expr(cond, ctx);
                 let jf = self.emit(Instr::JumpIfFalse { cond: c, target: 0 });
                 let t = self.expr(then_expr, ctx);
@@ -394,20 +495,19 @@ impl<'p> Compiler<'p> {
         }
     }
 
-    fn ident(&mut self, name: &str, ctx: &mut FnCtx) -> Reg {
+    /// An identifier read: a local is its own slot (or a copy with `copy`).
+    fn ident(&mut self, name: &str, ctx: &mut FnCtx, copy: bool) -> Reg {
         if let Some((slot, _)) = ctx.resolve(name) {
+            if !copy {
+                self.charge();
+                return slot;
+            }
             let dst = ctx.alloc();
             self.emit(Instr::LoadVar { dst, slot });
             return dst;
         }
-        let special = match name {
-            "threadIdx" => Some(SpecialIdent::ThreadIdx),
-            "blockIdx" => Some(SpecialIdent::BlockIdx),
-            "blockDim" => Some(SpecialIdent::BlockDim),
-            "gridDim" => Some(SpecialIdent::GridDim),
-            _ => None,
-        };
-        if let Some(which) = special {
+        if let Some(which) = special_ident(name) {
+            self.charge();
             let name = self.name_id(name);
             let dst = ctx.alloc();
             self.emit(Instr::LoadSpecial { dst, which, name });
@@ -420,10 +520,7 @@ impl<'p> Compiler<'p> {
             _ => None,
         };
         if let Some(v) = constant {
-            let id = self.const_id(Value::Int(v));
-            let dst = ctx.alloc();
-            self.emit(Instr::Const { dst, id });
-            return dst;
+            return self.literal(Value::Int(v), ctx, copy);
         }
         let name = self.name_id(name);
         self.emit(Instr::ErrUnbound { name });
@@ -458,8 +555,13 @@ impl<'p> Compiler<'p> {
     }
 
     /// Compile argument expressions and return a contiguous register block.
+    /// A one-register window is contiguous as it stands, so its argument
+    /// may be read in place; in a wider window a local or literal argument
+    /// is copied, so the block stays contiguous without moves.
     fn gather<'e>(&mut self, args: impl Iterator<Item = &'e Expr>, ctx: &mut FnCtx) -> (Reg, u32) {
-        let regs: Vec<Reg> = args.map(|a| self.expr(a, ctx)).collect();
+        let args: Vec<&Expr> = args.collect();
+        let copy = self.copy_leaves || args.len() > 1;
+        let regs: Vec<Reg> = args.iter().map(|a| self.operand(a, ctx, copy)).collect();
         if regs.is_empty() {
             return (0, 0);
         }
@@ -481,7 +583,7 @@ impl<'p> Compiler<'p> {
         // User-defined functions first, matching `Evaluator::eval_call`.
         if let Some(func) = self.program.function(callee) {
             if func.qualifier == FnQualifier::Kernel {
-                self.emit(Instr::CallPre);
+                self.emit(Instr::CallPre { n: 1 });
                 let msg = self.name_id(&format!(
                     "kernel '{}' called directly without a launch configuration",
                     func.name
@@ -504,7 +606,7 @@ impl<'p> Compiler<'p> {
 
         match callee {
             "printf" => {
-                self.emit(Instr::CallPre);
+                self.emit(Instr::CallPre { n: 1 });
                 let (args_base, argc) = self.gather(args.iter(), ctx);
                 let dst = ctx.alloc();
                 self.emit(Instr::Printf {
@@ -515,14 +617,14 @@ impl<'p> Compiler<'p> {
                 dst
             }
             "malloc" => {
-                self.emit(Instr::CallPre);
+                self.emit(Instr::CallPre { n: 1 });
                 let bytes = self.expr(&args[0], ctx);
                 let dst = ctx.alloc();
                 self.emit(Instr::Malloc { bytes, dst });
                 dst
             }
             "free" | "cudaFree" => {
-                self.emit(Instr::CallPre);
+                self.emit(Instr::CallPre { n: 1 });
                 let src = self.expr(&args[0], ctx);
                 let dst = ctx.alloc();
                 self.emit(Instr::FreeVal { src, dst });
@@ -530,7 +632,7 @@ impl<'p> Compiler<'p> {
             }
             "cudaMalloc" => self.cuda_malloc(args, ctx),
             "cudaMemcpy" => {
-                self.emit(Instr::CallPre);
+                self.emit(Instr::CallPre { n: 1 });
                 let dptr = self.expr(&args[0], ctx);
                 let sptr = self.expr(&args[1], ctx);
                 let bytes = self.expr(&args[2], ctx);
@@ -545,7 +647,7 @@ impl<'p> Compiler<'p> {
                 dst
             }
             "cudaMemset" | "memset" => {
-                self.emit(Instr::CallPre);
+                self.emit(Instr::CallPre { n: 1 });
                 let ptr = self.expr(&args[0], ctx);
                 let fill = self.expr(&args[1], ctx);
                 let bytes = self.expr(&args[2], ctx);
@@ -559,14 +661,14 @@ impl<'p> Compiler<'p> {
                 dst
             }
             "cudaDeviceSynchronize" => {
-                self.emit(Instr::CallPre);
+                self.emit(Instr::CallPre { n: 1 });
                 let id = self.const_id(Value::Int(0));
                 let dst = ctx.alloc();
                 self.emit(Instr::ConstFree { dst, id });
                 dst
             }
             "memcpy" => {
-                self.emit(Instr::CallPre);
+                self.emit(Instr::CallPre { n: 1 });
                 let dptr = self.expr(&args[0], ctx);
                 let sptr = self.expr(&args[1], ctx);
                 let bytes = self.expr(&args[2], ctx);
@@ -580,7 +682,7 @@ impl<'p> Compiler<'p> {
                 dst
             }
             "exit" => {
-                self.emit(Instr::CallPre);
+                self.emit(Instr::CallPre { n: 1 });
                 let code = self.expr(&args[0], ctx);
                 let dst = ctx.alloc();
                 self.emit(Instr::Exit { code, dst });
@@ -591,7 +693,7 @@ impl<'p> Compiler<'p> {
                 ctx.alloc()
             }
             "atomicAdd" => {
-                self.emit(Instr::CallPre);
+                self.emit(Instr::CallPre { n: 1 });
                 let target = self.expr(&args[0], ctx);
                 let delta = self.expr(&args[1], ctx);
                 let dst = ctx.alloc();
@@ -599,7 +701,7 @@ impl<'p> Compiler<'p> {
                 dst
             }
             "atomicMax" | "atomicMin" => {
-                self.emit(Instr::CallPre);
+                self.emit(Instr::CallPre { n: 1 });
                 let target = self.expr(&args[0], ctx);
                 let delta = self.expr(&args[1], ctx);
                 let dst = ctx.alloc();
@@ -612,13 +714,13 @@ impl<'p> Compiler<'p> {
                 dst
             }
             "omp_get_wtime" => {
-                self.emit(Instr::CallPre);
+                self.emit(Instr::CallPre { n: 1 });
                 let dst = ctx.alloc();
                 self.emit(Instr::WTime { dst });
                 dst
             }
             "omp_get_thread_num" | "omp_get_num_threads" | "omp_get_max_threads" => {
-                self.emit(Instr::CallPre);
+                self.emit(Instr::CallPre { n: 1 });
                 let which = match callee {
                     "omp_get_thread_num" => 0,
                     "omp_get_num_threads" => 1,
@@ -629,7 +731,7 @@ impl<'p> Compiler<'p> {
                 dst
             }
             "omp_set_num_threads" => {
-                self.emit(Instr::CallPre);
+                self.emit(Instr::CallPre { n: 1 });
                 self.expr(&args[0], ctx);
                 let id = self.const_id(Value::Int(0));
                 let dst = ctx.alloc();
@@ -637,7 +739,7 @@ impl<'p> Compiler<'p> {
                 dst
             }
             "dim3" => {
-                self.emit(Instr::CallPre);
+                self.emit(Instr::CallPre { n: 1 });
                 let (args_base, argc) = self.gather(args.iter().take(3), ctx);
                 let dst = ctx.alloc();
                 self.emit(Instr::Dim3Ctor {
@@ -648,7 +750,7 @@ impl<'p> Compiler<'p> {
                 dst
             }
             other => {
-                self.emit(Instr::CallPre);
+                self.emit(Instr::CallPre { n: 1 });
                 let (args_base, argc) = self.gather(args.iter(), ctx);
                 if let Some(f) = MathFn::from_name(other) {
                     let dst = ctx.alloc();
@@ -669,7 +771,7 @@ impl<'p> Compiler<'p> {
     }
 
     fn cuda_malloc(&mut self, args: &[Expr], ctx: &mut FnCtx) -> Reg {
-        self.emit(Instr::CallPre);
+        self.emit(Instr::CallPre { n: 1 });
         let bytes = self.expr(&args[1], ctx);
         if let Expr::Unary {
             op: UnOp::AddrOf,
@@ -718,7 +820,9 @@ impl<'p> Compiler<'p> {
 
     fn stmt(&mut self, s: &Stmt, ctx: &mut FnCtx) {
         let mark = ctx.next_slot;
+        let outer = std::mem::replace(&mut self.copy_leaves, writes_local(s));
         let kept = self.stmt_inner(s, ctx);
+        self.copy_leaves = outer;
         ctx.next_slot = mark + kept;
     }
 
@@ -728,7 +832,7 @@ impl<'p> Compiler<'p> {
         let line = s.line;
         match &s.kind {
             StmtKind::VarDecl(d) => {
-                self.emit(Instr::Stmt { line });
+                self.emit(Instr::Stmt { line, n: 1 });
                 // A `__shared__` re-declaration of a name the kernel prologue
                 // (or any enclosing binding) already provides is a no-op,
                 // like the interpreter's `env.contains` check.
@@ -770,7 +874,7 @@ impl<'p> Compiler<'p> {
                 1
             }
             StmtKind::Assign { target, op, value } => {
-                self.emit(Instr::Stmt { line });
+                self.emit(Instr::Stmt { line, n: 1 });
                 self.assign(target, *op, value, ctx);
                 0
             }
@@ -779,7 +883,7 @@ impl<'p> Compiler<'p> {
                 then_branch,
                 else_branch,
             } => {
-                self.emit(Instr::StmtBranch { line });
+                self.emit(Instr::StmtBranch { line, n: 1 });
                 let c = self.expr(cond, ctx);
                 let jf = self.emit(Instr::JumpIfFalse { cond: c, target: 0 });
                 self.block(then_branch, ctx);
@@ -800,9 +904,9 @@ impl<'p> Compiler<'p> {
                 0
             }
             StmtKind::While { cond, body } => {
-                self.emit(Instr::Stmt { line });
+                self.emit(Instr::Stmt { line, n: 1 });
                 let head = self.bind_label();
-                self.emit(Instr::LoopIter);
+                self.emit(Instr::LoopIter { n: 1 });
                 let c = self.expr(cond, ctx);
                 let jexit = self.emit(Instr::JumpIfFalse { cond: c, target: 0 });
                 ctx.loops.push(LoopCtx {
@@ -824,13 +928,13 @@ impl<'p> Compiler<'p> {
                 0
             }
             StmtKind::For(f) => {
-                self.emit(Instr::Stmt { line });
+                self.emit(Instr::Stmt { line, n: 1 });
                 ctx.push_scope();
                 if let Some(init) = &f.init {
                     self.stmt(init, ctx);
                 }
                 let head = self.bind_label();
-                self.emit(Instr::LoopIter);
+                self.emit(Instr::LoopIter { n: 1 });
                 let jexit = f.cond.as_ref().map(|cond| {
                     let c = self.expr(cond, ctx);
                     self.emit(Instr::JumpIfFalse { cond: c, target: 0 })
@@ -861,7 +965,7 @@ impl<'p> Compiler<'p> {
                 0
             }
             StmtKind::Return(value) => {
-                self.emit(Instr::Stmt { line });
+                self.emit(Instr::Stmt { line, n: 1 });
                 let src = value.as_ref().map(|e| self.expr(e, ctx));
                 if ctx.map_depth > 0 {
                     self.emit(Instr::UnmapFrames { n: ctx.map_depth });
@@ -870,27 +974,27 @@ impl<'p> Compiler<'p> {
                 0
             }
             StmtKind::Break => {
-                self.emit(Instr::Stmt { line });
+                self.emit(Instr::Stmt { line, n: 1 });
                 self.loop_exit(ctx, FlowKind::Break);
                 0
             }
             StmtKind::Continue => {
-                self.emit(Instr::Stmt { line });
+                self.emit(Instr::Stmt { line, n: 1 });
                 self.loop_exit(ctx, FlowKind::Continue);
                 0
             }
             StmtKind::Expr(e) => {
-                self.emit(Instr::Stmt { line });
+                self.emit(Instr::Stmt { line, n: 1 });
                 self.expr(e, ctx);
                 0
             }
             StmtKind::Block(b) => {
-                self.emit(Instr::Stmt { line });
+                self.emit(Instr::Stmt { line, n: 1 });
                 self.block(b, ctx);
                 0
             }
             StmtKind::KernelLaunch(kl) => {
-                self.emit(Instr::Stmt { line });
+                self.emit(Instr::Stmt { line, n: 1 });
                 self.launch(kl, ctx);
                 0
             }
@@ -993,10 +1097,12 @@ impl<'p> Compiler<'p> {
             // LaunchPre unconditionally fails; nothing after it runs.
             return;
         }
-        let grid = self.expr(&kl.grid, ctx);
-        self.emit(Instr::GeomConvert { reg: grid });
-        let block = self.expr(&kl.block, ctx);
-        self.emit(Instr::GeomConvert { reg: block });
+        let src = self.expr(&kl.grid, ctx);
+        let grid = ctx.alloc();
+        self.emit(Instr::GeomConvert { dst: grid, src });
+        let src = self.expr(&kl.block, ctx);
+        let block = ctx.alloc();
+        self.emit(Instr::GeomConvert { dst: block, src });
         self.emit(Instr::LaunchCheck { grid, block, name });
         let (args_base, argc) = self.gather(kl.args.iter(), ctx);
         let kernel = self.kernel_ids[&kl.kernel];
@@ -1014,10 +1120,10 @@ impl<'p> Compiler<'p> {
     fn pragma(&mut self, p: &PragmaStmt, line: u32, ctx: &mut FnCtx) {
         match p.directive.kind {
             OmpDirectiveKind::Barrier => {
-                self.emit(Instr::Stmt { line });
+                self.emit(Instr::Stmt { line, n: 1 });
             }
             OmpDirectiveKind::Atomic => {
-                self.emit(Instr::Stmt { line });
+                self.emit(Instr::Stmt { line, n: 1 });
                 if let Some(body) = &p.body {
                     if let StmtKind::Assign {
                         target: Expr::Index { base, index },
@@ -1040,7 +1146,7 @@ impl<'p> Compiler<'p> {
                 }
             }
             OmpDirectiveKind::TargetData => {
-                self.emit(Instr::Stmt { line });
+                self.emit(Instr::Stmt { line, n: 1 });
                 self.emit(Instr::MapFramePush);
                 ctx.map_depth += 1;
                 self.map_clauses(&p.directive.clauses, ctx);
@@ -1083,7 +1189,7 @@ impl<'p> Compiler<'p> {
     }
 
     fn worksharing(&mut self, p: &PragmaStmt, line: u32, ctx: &mut FnCtx) {
-        self.emit(Instr::Stmt { line });
+        self.emit(Instr::Stmt { line, n: 1 });
         self.emit(Instr::OmpPre);
         let Some(body) = p.body.as_deref() else {
             let msg = self.name_id("work-sharing pragma without an associated loop");
@@ -1106,10 +1212,13 @@ impl<'p> Compiler<'p> {
             self.emit(Instr::ErrLine { msg });
             return;
         };
-        let lo = self.expr(&lo_e, ctx);
-        let hi = self.expr(&hi_e, ctx);
-        let step = self.expr(&step_e, ctx);
+        // An offloaded loop's map clauses run between the bounds and their
+        // use, so its bounds are copies.
         let offload = p.directive.kind.is_offload();
+        let copy = self.copy_leaves || offload;
+        let lo = self.operand(&lo_e, ctx, copy);
+        let hi = self.operand(&hi_e, ctx, copy);
+        let step = self.operand(&step_e, ctx, copy);
         if offload {
             self.emit(Instr::MapFramePush);
             ctx.map_depth += 1;
@@ -1170,6 +1279,7 @@ impl<'p> Compiler<'p> {
         // ... the loop variable shadows same-name bindings ...
         let loop_var_slot = rctx.alloc();
         rctx.bind(loop_var, loop_var_slot, Type::Long);
+        let consts = self.reserve_consts(&f.body.stmts, &mut rctx);
 
         // ... and the post-chunk reads resolve after it.
         let reductions: Vec<CompiledReduction> = match p.directive.reduction() {
@@ -1213,6 +1323,7 @@ impl<'p> Compiler<'p> {
             reductions,
             updates,
             offload: p.directive.kind.is_offload(),
+            consts,
         });
         id
     }
@@ -1224,7 +1335,13 @@ impl<'p> Compiler<'p> {
     fn register_functions(&mut self) {
         let mut launched: HashSet<String> = HashSet::new();
         for f in self.program.functions() {
-            collect_launch_names(&f.body, &mut launched);
+            for s in &f.body.stmts {
+                walk_stmts(s, true, &mut |s| {
+                    if let StmtKind::KernelLaunch(kl) = &s.kind {
+                        launched.insert(kl.kernel.clone());
+                    }
+                });
+            }
         }
         for f in self.program.functions() {
             if self.func_ids.contains_key(&f.name) || self.kernel_ids.contains_key(&f.name) {
@@ -1239,6 +1356,7 @@ impl<'p> Compiler<'p> {
                     nslots: 0,
                     params: f.params.iter().map(|p| p.ty.clone()).collect(),
                     ret: f.ret.clone(),
+                    consts: ConstSlots::default(),
                 });
                 self.func_ids.insert(f.name.clone(), id);
             }
@@ -1250,6 +1368,7 @@ impl<'p> Compiler<'p> {
                     shared: Vec::new(),
                     segments: Vec::new(),
                     nslots: 0,
+                    consts: ConstSlots::default(),
                 });
                 self.kernel_ids.insert(f.name.clone(), id);
             }
@@ -1263,9 +1382,11 @@ impl<'p> Compiler<'p> {
                 continue;
             }
             if let Some(&id) = self.func_ids.get(&f.name) {
-                let (entry, nslots) = self.function_unit(f);
-                self.funcs[id as usize].entry = entry;
-                self.funcs[id as usize].nslots = nslots;
+                let (entry, nslots, consts) = self.function_unit(f);
+                let func = &mut self.funcs[id as usize];
+                func.entry = entry;
+                func.nslots = nslots;
+                func.consts = consts;
             }
             if let Some(&id) = self.kernel_ids.get(&f.name) {
                 let compiled = self.kernel_unit(f);
@@ -1279,6 +1400,7 @@ impl<'p> Compiler<'p> {
                 let slot = ctx.alloc();
                 ctx.bind(&format!("arg{i}"), slot, Type::Long);
             }
+            let consts = self.reserve_consts(&main.body.stmts, &mut ctx);
             let entry = self.bind_label();
             self.block(&main.body, &mut ctx);
             self.emit(Instr::EndUnit {
@@ -1288,23 +1410,25 @@ impl<'p> Compiler<'p> {
                 entry,
                 nslots: ctx.high,
                 argc,
+                consts,
             }
         });
     }
 
-    fn function_unit(&mut self, f: &Function) -> (u32, u32) {
+    fn function_unit(&mut self, f: &Function) -> (u32, u32, ConstSlots) {
         let mut ctx = FnCtx::new();
         ctx.push_scope();
         for p in &f.params {
             let slot = ctx.alloc();
             ctx.bind(&p.name, slot, p.ty.clone());
         }
+        let consts = self.reserve_consts(&f.body.stmts, &mut ctx);
         let entry = self.bind_label();
         self.block(&f.body, &mut ctx);
         self.emit(Instr::EndUnit {
             flow: FlowKind::Normal,
         });
-        (entry, ctx.high)
+        (entry, ctx.high, consts)
     }
 
     fn kernel_unit(&mut self, f: &Function) -> CompiledKernel {
@@ -1338,12 +1462,18 @@ impl<'p> Compiler<'p> {
                         let s = sctx.alloc();
                         sctx.bind(&p.name, s, p.ty.clone());
                     }
+                    let mut literals = Vec::new();
+                    self.collect_literals(other, &mut literals);
+                    let consts = self.const_slots(literals, &mut sctx);
                     let entry = self.bind_label();
+                    self.copy_leaves = calls_cuda_malloc(other);
                     let r = self.expr(other, &mut sctx);
+                    self.copy_leaves = false;
                     self.emit(Instr::Ret { src: Some(r) });
                     SharedLen::Dynamic {
                         entry,
                         nslots: sctx.high,
+                        consts,
                     }
                 }
                 None => SharedLen::One,
@@ -1356,6 +1486,16 @@ impl<'p> Compiler<'p> {
                 len,
             });
         }
+
+        // Top-level `__shared__` declarations compile to nothing, so their
+        // lengths need no constant slots.
+        let consts = self.reserve_consts(
+            f.body
+                .stmts
+                .iter()
+                .filter(|s| !matches!(&s.kind, StmtKind::VarDecl(d) if d.is_shared)),
+            &mut ctx,
+        );
 
         // Barrier-delimited segments share the one frame: statements compile
         // directly in the params+shared scope (the interpreter's
@@ -1391,47 +1531,154 @@ impl<'p> Compiler<'p> {
             shared,
             segments,
             nslots: ctx.high,
+            consts,
         }
     }
 }
 
-/// Collect every kernel name referenced by a launch statement.
-fn collect_launch_names(b: &Block, out: &mut HashSet<String>) {
-    fn walk(s: &Stmt, out: &mut HashSet<String>) {
-        match &s.kind {
-            StmtKind::KernelLaunch(kl) => {
-                out.insert(kl.kernel.clone());
-            }
-            StmtKind::If {
-                then_branch,
-                else_branch,
-                ..
-            } => {
-                collect_launch_names(then_branch, out);
-                if let Some(eb) = else_branch {
-                    collect_launch_names(eb, out);
-                }
-            }
-            StmtKind::While { body, .. } => collect_launch_names(body, out),
-            StmtKind::For(f) => {
-                if let Some(init) = &f.init {
-                    walk(init, out);
-                }
-                if let Some(step) = &f.step {
-                    walk(step, out);
-                }
-                collect_launch_names(&f.body, out);
-            }
-            StmtKind::Block(b) => collect_launch_names(b, out),
-            StmtKind::Pragma(p) => {
-                if let Some(body) = &p.body {
-                    walk(body, out);
-                }
-            }
-            _ => {}
+/// The context builtin an identifier names, if any (a local of the same name
+/// shadows it).
+fn special_ident(name: &str) -> Option<SpecialIdent> {
+    match name {
+        "threadIdx" => Some(SpecialIdent::ThreadIdx),
+        "blockIdx" => Some(SpecialIdent::BlockIdx),
+        "blockDim" => Some(SpecialIdent::BlockDim),
+        "gridDim" => Some(SpecialIdent::GridDim),
+        _ => None,
+    }
+}
+
+/// Visit `e` and every subexpression of it.
+fn walk_expr(e: &Expr, f: &mut dyn FnMut(&Expr)) {
+    f(e);
+    match e {
+        Expr::Binary { lhs, rhs, .. } => {
+            walk_expr(lhs, f);
+            walk_expr(rhs, f);
         }
+        Expr::Unary { operand, .. } => walk_expr(operand, f),
+        Expr::Call { args, .. } => args.iter().for_each(|a| walk_expr(a, f)),
+        Expr::Index { base, index } => {
+            walk_expr(base, f);
+            walk_expr(index, f);
+        }
+        Expr::Member { base, .. } => walk_expr(base, f),
+        Expr::Cast { expr, .. } => walk_expr(expr, f),
+        Expr::Ternary {
+            cond,
+            then_expr,
+            else_expr,
+        } => {
+            walk_expr(cond, f);
+            walk_expr(then_expr, f);
+            walk_expr(else_expr, f);
+        }
+        Expr::IntLit(_)
+        | Expr::FloatLit(_)
+        | Expr::StrLit(_)
+        | Expr::Ident(_)
+        | Expr::Sizeof(_) => {}
     }
-    for s in &b.stmts {
-        walk(s, out);
+}
+
+/// Visit the expressions a statement evaluates itself, leaving out those of
+/// the statements nested in it. A work-sharing pragma evaluates its loop's
+/// bounds and its map-section lengths; an `atomic` pragma its update.
+fn own_exprs(s: &Stmt, f: &mut dyn FnMut(&Expr)) {
+    match &s.kind {
+        StmtKind::VarDecl(d) => d.array_len.iter().chain(&d.init).for_each(f),
+        StmtKind::Assign { target, value, .. } => {
+            f(target);
+            f(value);
+        }
+        StmtKind::If { cond, .. } | StmtKind::While { cond, .. } => f(cond),
+        StmtKind::For(fs) => fs.cond.iter().for_each(f),
+        StmtKind::Return(value) => value.iter().for_each(f),
+        StmtKind::Expr(e) => f(e),
+        StmtKind::KernelLaunch(kl) => {
+            f(&kl.grid);
+            f(&kl.block);
+            kl.args.iter().for_each(f);
+        }
+        StmtKind::Pragma(p) => {
+            for clause in &p.directive.clauses {
+                if let OmpClause::Map { sections, .. } = clause {
+                    sections
+                        .iter()
+                        .filter_map(|s| s.len.as_ref())
+                        .for_each(&mut *f);
+                }
+            }
+            match (p.directive.kind, p.body.as_deref()) {
+                (OmpDirectiveKind::Atomic, Some(body)) => own_exprs(body, f),
+                (
+                    OmpDirectiveKind::ParallelFor
+                    | OmpDirectiveKind::TargetTeamsDistributeParallelFor,
+                    Some(Stmt {
+                        kind: StmtKind::For(fs),
+                        ..
+                    }),
+                ) => {
+                    if let Some((_, lo, hi, step)) = fs.canonical() {
+                        [lo, hi, step].iter().for_each(f);
+                    }
+                }
+                _ => {}
+            }
+        }
+        StmtKind::Break | StmtKind::Continue | StmtKind::Block(_) => {}
     }
+}
+
+/// Visit `s` and every statement nested in it. Without `into_regions` the
+/// walk stays in the unit `s` compiles into and skips work-sharing loop
+/// bodies, which are units of their own.
+fn walk_stmts(s: &Stmt, into_regions: bool, f: &mut dyn FnMut(&Stmt)) {
+    f(s);
+    let nested: Vec<&Stmt> = match &s.kind {
+        StmtKind::If {
+            then_branch,
+            else_branch,
+            ..
+        } => then_branch
+            .stmts
+            .iter()
+            .chain(else_branch.iter().flat_map(|b| &b.stmts))
+            .collect(),
+        StmtKind::While { body, .. } | StmtKind::Block(body) => body.stmts.iter().collect(),
+        StmtKind::For(fs) => {
+            let head = fs.init.iter().chain(&fs.step).map(|s| s.as_ref());
+            head.chain(&fs.body.stmts).collect()
+        }
+        StmtKind::Pragma(p) => {
+            let region = matches!(
+                p.directive.kind,
+                OmpDirectiveKind::ParallelFor | OmpDirectiveKind::TargetTeamsDistributeParallelFor
+            );
+            match &p.body {
+                Some(body) if into_regions || !region => vec![body.as_ref()],
+                _ => Vec::new(),
+            }
+        }
+        _ => Vec::new(),
+    };
+    for s in nested {
+        walk_stmts(s, into_regions, f);
+    }
+}
+
+fn calls_cuda_malloc(e: &Expr) -> bool {
+    let mut found = false;
+    walk_expr(e, &mut |node| {
+        found |= matches!(node, Expr::Call { callee, .. } if callee == "cudaMalloc");
+    });
+    found
+}
+
+/// Whether a statement's own expressions call `cudaMalloc`, which writes a
+/// local slot in the middle of an expression.
+fn writes_local(s: &Stmt) -> bool {
+    let mut found = false;
+    own_exprs(s, &mut |e| found |= calls_cuda_malloc(e));
+    found
 }

@@ -1,23 +1,36 @@
 //! The flat instruction set executed by the bytecode VM.
 //!
-//! Design rule: the compiler emits exactly one *charging* instruction per AST
-//! node the tree-walking evaluator calls `step()` on, so the VM's step count
-//! (and therefore the step-limit kill point and `omp_get_wtime` readings) is
-//! bit-identical to the interpreter's. The charging instructions are:
+//! Design rule: the compiler emits exactly one step charge per AST node the
+//! tree-walking evaluator calls `step()` on, so the VM's step count (and
+//! therefore the step-limit kill point and `omp_get_wtime` readings) is
+//! bit-identical to the interpreter's. A node's step may be folded into the
+//! charging instruction emitted directly before it when no label lies between
+//! the two and nothing that can fail or observe the counter runs in between;
+//! the kill then happens at the same step with the same error. The charging
+//! instructions are:
 //!
 //! * [`Instr::Stmt`] / [`Instr::StmtBranch`] — one statement step (the `If`
 //!   variant also charges the branch the interpreter counts before the
-//!   condition),
+//!   condition) plus the folded steps of the expression nodes that follow,
+//!   `n` in all,
 //! * [`Instr::LoopIter`] — the per-iteration step + branch of `while`/`for`,
-//! * [`Instr::TernaryBranch`] — the ternary node's step + branch,
-//! * [`Instr::Charge`] — the step of an expression node whose actual work
-//!   happens later (binary/unary operators, index loads, casts, ...); the
-//!   compiler merges adjacent charges when no label intervenes,
-//! * [`Instr::Const`], [`Instr::LoadVar`], [`Instr::LoadSpecial`],
-//!   [`Instr::ErrUnbound`], [`Instr::ErrAddrOf`] — literal and identifier
-//!   nodes,
+//!   plus the folded steps of the condition's leading nodes,
+//! * [`Instr::TernaryBranch`] — the ternary node's step + branch, plus folded
+//!   steps,
+//! * [`Instr::Charge`] — folded steps of expression nodes whose work happens
+//!   later (binary/unary operators, index loads, casts, ...) or needs no
+//!   instruction at all: a local or a literal is read in place from its slot,
+//!   and a thread-coordinate read ([`Instr::ThreadCoord`], `threadIdx.x` and
+//!   friends) or [`Instr::LoadSpecial`] charges nothing itself,
+//! * [`Instr::Const`], [`Instr::LoadVar`] — a literal or local copied into a
+//!   fresh register, kept only where a copy is needed: argument windows that
+//!   must be contiguous, statements where `cudaMalloc` can rewrite a slot
+//!   between its read and its use, and bounds held across map clauses,
+//! * [`Instr::ErrUnbound`], [`Instr::ErrAddrOf`] — failing identifier and
+//!   address-of nodes,
 //! * [`Instr::CallPre`] / [`Instr::UserCallPre`] / [`Instr::SyncCallErr`] —
-//!   call nodes (step + `calls` cost).
+//!   call nodes (step + `calls` cost; `CallPre` also carries folded steps,
+//!   `UserCallPre` never does because its depth check can fail after it).
 //!
 //! Every other instruction charges no step itself; it only applies the
 //! operator/memory costs the interpreter charges at the same point.
@@ -130,20 +143,31 @@ pub enum FlowKind {
 #[derive(Debug, Clone, PartialEq)]
 pub enum Instr {
     // ------------------------------------------------ step/cost bookkeeping
-    /// Statement entry: one step, update `current_line` when `line > 0`.
+    /// Statement entry: `n` steps (the statement's own plus folded ones),
+    /// then update `current_line` when `line > 0`.
     Stmt {
         /// Source line (0 = synthesized, leaves `current_line` untouched).
         line: u32,
+        /// Steps charged.
+        n: u32,
     },
-    /// `if` statement entry: one step, line update, one branch.
+    /// `if` statement entry: `n` steps, line update, one branch.
     StmtBranch {
         /// Source line.
         line: u32,
+        /// Steps charged.
+        n: u32,
     },
-    /// Loop-iteration head: one step plus one branch.
-    LoopIter,
-    /// Ternary node: one step plus one branch (before the condition).
-    TernaryBranch,
+    /// Loop-iteration head: `n` steps plus one branch.
+    LoopIter {
+        /// Steps charged.
+        n: u32,
+    },
+    /// Ternary node: `n` steps plus one branch (before the condition).
+    TernaryBranch {
+        /// Steps charged.
+        n: u32,
+    },
     /// Charge `n` steps (merged expression-node steps).
     Charge {
         /// Number of steps.
@@ -182,7 +206,8 @@ pub enum Instr {
     },
 
     // ------------------------------------------------------ data movement
-    /// Literal/constant load (charges the literal node's step).
+    /// Literal copied into a fresh register (charges the literal node's
+    /// step). Literals read in place come from the unit's constant slots.
     Const {
         /// Destination register.
         dst: Reg,
@@ -205,21 +230,36 @@ pub enum Instr {
         /// Source register.
         src: Reg,
     },
-    /// Identifier read from a resolved slot (charges the identifier step).
+    /// Local copied into a fresh register (charges the identifier step).
+    /// Locals read in place need no instruction.
     LoadVar {
         /// Destination register.
         dst: Reg,
         /// Source slot.
         slot: Reg,
     },
-    /// Identifier read of `threadIdx`-style context builtins (charges the
-    /// identifier step; errors as an unbound identifier outside device code).
+    /// Bare identifier read of a `threadIdx`-style context builtin (its
+    /// step is charged before; errors as an unbound identifier outside
+    /// device code).
     LoadSpecial {
         /// Destination register.
         dst: Reg,
         /// Which builtin.
         which: SpecialIdent,
         /// Name-pool index (for the error message).
+        name: u32,
+    },
+    /// Thread-coordinate read `threadIdx.x` and friends: the member access
+    /// and its builtin base in one instruction (both steps are charged
+    /// before; errors like [`Instr::LoadSpecial`] outside device code).
+    ThreadCoord {
+        /// Destination register.
+        dst: Reg,
+        /// Which builtin.
+        which: SpecialIdent,
+        /// The component read.
+        axis: Axis,
+        /// Name-pool index of the builtin (for the error message).
         name: u32,
     },
     /// Unresolvable identifier: charge the step, then fail.
@@ -396,8 +436,11 @@ pub enum Instr {
     },
 
     // --------------------------------------------------------------- calls
-    /// Builtin call entry: one step plus one `calls` cost.
-    CallPre,
+    /// Builtin call entry: `n` steps plus one `calls` cost.
+    CallPre {
+        /// Steps charged.
+        n: u32,
+    },
     /// User call entry: `CallPre` plus the 64-frame depth check.
     UserCallPre,
     /// Call a compiled user function.
@@ -569,10 +612,13 @@ pub enum Instr {
         /// Whether the kernel resolved at compile time.
         defined: bool,
     },
-    /// Convert a register to launch geometry (`Dim3Val`), in place.
+    /// Convert an evaluated geometry expression to launch geometry
+    /// (`Dim3Val`).
     GeomConvert {
+        /// Destination register.
+        dst: Reg,
         /// Register holding the evaluated geometry expression.
-        reg: Reg,
+        src: Reg,
     },
     /// Validate grid/block sizes before evaluating launch arguments.
     LaunchCheck {

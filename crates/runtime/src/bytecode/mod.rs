@@ -6,7 +6,9 @@
 //! shared-length expression, plus pooled constants, names and types. Name
 //! resolution happens entirely at compile time — every variable becomes a
 //! frame-relative register slot, so the VM ([`vm::Vm`]) never touches a scope
-//! chain or a hash map in the hot path.
+//! chain or a hash map in the hot path. Instructions read locals in place
+//! from those slots and literals from per-unit constant slots
+//! ([`ConstSlots`]), so neither costs an instruction of its own.
 //!
 //! The engine is observationally identical to the tree-walking interpreter in
 //! [`crate::eval`] / [`crate::interp`] (kept as the test oracle):
@@ -30,6 +32,35 @@ pub use vm::{run_compiled, run_compiled_with_memory, Vm};
 use lassi_lang::{OmpDirective, ReductionOp, Type};
 
 use crate::value::Value;
+
+/// The literal operands of one compiled unit. They live in the unit's frame,
+/// in slots `base..base + values.len()`, filled when the frame is set up, and
+/// instructions read them in place like any local. No instruction writes
+/// them.
+#[derive(Debug, Clone, Default)]
+pub struct ConstSlots {
+    /// First constant slot.
+    pub(crate) base: Reg,
+    /// The values, in slot order.
+    pub(crate) values: Vec<Value>,
+}
+
+impl ConstSlots {
+    /// A fresh frame of `nslots` slots: zeros, with the constant slots
+    /// filled. Callers seed parameters and captures on top.
+    pub fn frame(&self, nslots: u32) -> Vec<Value> {
+        let mut frame = vec![Value::Int(0); nslots as usize];
+        self.fill(&mut frame);
+        frame
+    }
+
+    /// Fill the constant slots of `frame`, a frame of this unit.
+    #[inline]
+    pub(crate) fn fill(&self, frame: &mut [Value]) {
+        let base = self.base as usize;
+        frame[base..base + self.values.len()].copy_from_slice(&self.values);
+    }
+}
 
 /// A program lowered to register bytecode. Fully owned: safe to cache and
 /// share across runs via `Arc`.
@@ -66,6 +97,8 @@ pub struct HostUnit {
     pub nslots: u32,
     /// Number of `arg{i}` bindings compiled in (slots `0..argc`).
     pub argc: usize,
+    /// Literal operands.
+    pub consts: ConstSlots,
 }
 
 /// A compiled callable function.
@@ -81,6 +114,8 @@ pub struct CompiledFunction {
     pub params: Vec<Type>,
     /// Return type: `Return(v)` coerces to it, falling off returns its zero.
     pub ret: Type,
+    /// Literal operands, filled by every call.
+    pub consts: ConstSlots,
 }
 
 /// How a `__shared__` array's per-block length is determined.
@@ -96,6 +131,8 @@ pub enum SharedLen {
         entry: u32,
         /// Frame size of the expression unit.
         nslots: u32,
+        /// Literal operands of the expression unit.
+        consts: ConstSlots,
     },
     /// No length given: a single element.
     One,
@@ -130,6 +167,8 @@ pub struct CompiledKernel {
     pub segments: Vec<u32>,
     /// Frame size in slots.
     pub nslots: u32,
+    /// Literal operands (after the parameter and shared slots).
+    pub consts: ConstSlots,
 }
 
 /// One reduction variable of a work-sharing region.
@@ -181,6 +220,8 @@ pub struct CompiledRegion {
     pub updates: Vec<(String, Option<(Reg, Type)>)>,
     /// True for `target ...` offload directives.
     pub offload: bool,
+    /// Literal operands of the loop body.
+    pub consts: ConstSlots,
 }
 
 impl CompiledProgram {
@@ -199,7 +240,16 @@ impl CompiledProgram {
     /// Rough heap footprint in bytes, for cache-size accounting.
     pub fn approx_bytes(&self) -> u64 {
         let code = self.code.len() * std::mem::size_of::<Instr>();
-        let consts = self.consts.len() * std::mem::size_of::<Value>();
+        let slots: usize = self
+            .host
+            .iter()
+            .map(|h| &h.consts)
+            .chain(self.funcs.iter().map(|f| &f.consts))
+            .chain(self.kernels.iter().map(|k| &k.consts))
+            .chain(self.regions.iter().map(|r| &r.consts))
+            .map(|c| c.values.len())
+            .sum();
+        let consts = (self.consts.len() + slots) * std::mem::size_of::<Value>();
         let names: usize = self.names.iter().map(|n| n.len() + 24).sum();
         let types = self.types.len() * std::mem::size_of::<Type>();
         let funcs = self.funcs.len() * std::mem::size_of::<CompiledFunction>();

@@ -10,6 +10,14 @@
 //! thread and every register move is a plain copy, and int×int operators
 //! are computed inline without going through the generic [`apply_binop`].
 //!
+//! Instructions read their operands in place: a local's slot, or one of the
+//! unit's constant slots. A frame therefore starts as a copy of its unit's
+//! initial frame ([`Vm::load_frame`], built by [`super::ConstSlots::frame`]
+//! plus the caller's parameters), and a user call fills the callee's
+//! constant slots itself. Nothing writes a constant slot. Steps are charged
+//! by the few charging instructions, each of which may carry the folded
+//! steps of the expression nodes that follow it.
+//!
 //! Every observable of the tree-walking interpreter is reproduced exactly:
 //! stdout, cost counters, memory traffic, `extra_seconds`, the step counter
 //! (see the charging table in [`super::instr`]) and every error message.
@@ -114,16 +122,18 @@ impl<'p> Vm<'p> {
         vm
     }
 
-    /// Reset the register stack to a single zeroed frame of `nslots` slots.
-    /// Call once before the first [`Vm::run_unit`] of a frame's lifetime;
-    /// kernel threads keep their frame across barrier segments by *not*
-    /// calling this again.
-    pub fn prepare_frame(&mut self, nslots: u32) {
+    /// Reset the register stack to a single frame holding a copy of
+    /// `frame`: a unit's initial frame, with its constant slots filled (see
+    /// [`super::ConstSlots::frame`]) and its parameters seeded. Call once
+    /// before the first [`Vm::run_unit`] of a frame's lifetime; kernel
+    /// threads keep their frame across barrier segments by *not* calling
+    /// this again.
+    pub fn load_frame(&mut self, frame: &[Value]) {
         self.regs.clear();
-        self.regs.resize(nslots as usize, Value::Int(0));
+        self.regs.extend_from_slice(frame);
         self.frames.clear();
         self.base = 0;
-        self.frame_top = nslots as usize;
+        self.frame_top = frame.len();
     }
 
     /// Reset per-thread state so one `Vm` can serve many device threads in
@@ -202,6 +212,30 @@ impl<'p> Vm<'p> {
         ExecError::other(format!("line {}: {}", self.current_line, msg))
     }
 
+    /// A context builtin's value; outside device code the identifier is
+    /// unbound.
+    #[inline]
+    fn special(&self, which: SpecialIdent, name: u32) -> Result<Dim3Val, ExecError> {
+        let EvalContext::DeviceThread {
+            thread_idx,
+            block_idx,
+            block_dim,
+            grid_dim,
+        } = self.ctx
+        else {
+            return Err(self.err_line(&format!(
+                "use of unbound identifier '{}'",
+                self.prog.name(name)
+            )));
+        };
+        Ok(match which {
+            SpecialIdent::ThreadIdx => thread_idx,
+            SpecialIdent::BlockIdx => block_idx,
+            SpecialIdent::BlockDim => block_dim,
+            SpecialIdent::GridDim => grid_dim,
+        })
+    }
+
     /// Element size used for byte-traffic accounting, like the interpreter's
     /// `buffer_elem(..).map_or(8, ..)`.
     fn elem_size(&self, mem: &Memory, buf: BufferId) -> u64 {
@@ -241,25 +275,21 @@ impl<'p> Vm<'p> {
         let mut pc = entry as usize;
         loop {
             match &prog.code[pc] {
-                Instr::Stmt { line } => {
-                    self.charge(1)?;
+                Instr::Stmt { line, n } => {
+                    self.charge(*n)?;
                     if *line > 0 {
                         self.current_line = *line;
                     }
                 }
-                Instr::StmtBranch { line } => {
-                    self.charge(1)?;
+                Instr::StmtBranch { line, n } => {
+                    self.charge(*n)?;
                     if *line > 0 {
                         self.current_line = *line;
                     }
                     self.cost.branches += 1;
                 }
-                Instr::LoopIter => {
-                    self.charge(1)?;
-                    self.cost.branches += 1;
-                }
-                Instr::TernaryBranch => {
-                    self.charge(1)?;
+                Instr::LoopIter { n } | Instr::TernaryBranch { n } => {
+                    self.charge(*n)?;
                     self.cost.branches += 1;
                 }
                 Instr::Charge { n } => self.charge(*n)?,
@@ -321,26 +351,22 @@ impl<'p> Vm<'p> {
                     self.set_reg(*dst, v);
                 }
                 Instr::LoadSpecial { dst, which, name } => {
-                    self.charge(1)?;
-                    let EvalContext::DeviceThread {
-                        thread_idx,
-                        block_idx,
-                        block_dim,
-                        grid_dim,
-                    } = self.ctx
-                    else {
-                        return Err(self.err_line(&format!(
-                            "use of unbound identifier '{}'",
-                            prog.name(*name)
-                        )));
-                    };
-                    let d = match which {
-                        SpecialIdent::ThreadIdx => thread_idx,
-                        SpecialIdent::BlockIdx => block_idx,
-                        SpecialIdent::BlockDim => block_dim,
-                        SpecialIdent::GridDim => grid_dim,
-                    };
+                    let d = self.special(*which, *name)?;
                     self.set_reg(*dst, Value::Dim3(d));
+                }
+                Instr::ThreadCoord {
+                    dst,
+                    which,
+                    axis,
+                    name,
+                } => {
+                    let d = self.special(*which, *name)?;
+                    let v = match axis {
+                        Axis::X => d.x,
+                        Axis::Y => d.y,
+                        Axis::Z => d.z,
+                    };
+                    self.set_reg(*dst, Value::Int(v as i64));
                 }
                 Instr::ErrUnbound { name } => {
                     self.charge(1)?;
@@ -589,8 +615,8 @@ impl<'p> Vm<'p> {
                     return Err(self.err_line(prog.name(*msg)));
                 }
 
-                Instr::CallPre => {
-                    self.charge(1)?;
+                Instr::CallPre { n } => {
+                    self.charge(*n)?;
                     self.cost.calls += 1;
                 }
                 Instr::UserCallPre => {
@@ -620,6 +646,8 @@ impl<'p> Vm<'p> {
                         };
                         self.regs[callee_base + i] = v;
                     }
+                    f.consts
+                        .fill(&mut self.regs[callee_base..callee_base + nslots]);
                     self.frames.push(Frame {
                         ret_pc: pc + 1,
                         caller_base: self.base,
@@ -887,12 +915,12 @@ impl<'p> Vm<'p> {
                         )));
                     }
                 }
-                Instr::GeomConvert { reg } => {
-                    let d = match self.reg(*reg) {
+                Instr::GeomConvert { dst, src } => {
+                    let d = match self.reg(*src) {
                         Value::Dim3(d) => *d,
                         other => Dim3Val::linear(other.as_int().max(0) as u32),
                     };
-                    self.set_reg(*reg, Value::Dim3(d));
+                    self.set_reg(*dst, Value::Dim3(d));
                 }
                 Instr::LaunchCheck { grid, block, name } => {
                     let (Value::Dim3(g), Value::Dim3(b)) = (self.reg(*grid), self.reg(*block))
@@ -1090,11 +1118,12 @@ pub fn run_compiled_with_memory(
         .host
         .as_ref()
         .ok_or_else(|| ExecError::other("program has no 'main' function"))?;
-    let mut vm = Vm::for_host(program, backend, config.step_limit);
-    vm.prepare_frame(host.nslots);
-    for (i, v) in args.iter().take(host.argc).enumerate() {
-        vm.set_slot(i as Reg, Value::Int(*v));
+    let mut frame = host.consts.frame(host.nslots);
+    for (slot, v) in frame.iter_mut().zip(args.iter().take(host.argc)) {
+        *slot = Value::Int(*v);
     }
+    let mut vm = Vm::for_host(program, backend, config.step_limit);
+    vm.load_frame(&frame);
     let flow = vm.run_unit(memory, host.entry)?;
     let exit_code = match flow {
         ControlFlow::Return(v) => v.as_int(),
@@ -1119,6 +1148,7 @@ pub fn run_compiled_with_memory(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::{LaunchStats, ParallelForRequest};
     use crate::env::Env;
     use crate::eval::{EvalContext, Evaluator};
     use crate::interp::HostInterpreter;
@@ -1127,23 +1157,78 @@ mod tests {
     struct HostOnly;
     impl ParallelBackend for HostOnly {}
 
+    /// Runs no loop body: reports each work-sharing loop's bounds through
+    /// its stats, so a bound read at the wrong time shows in the run's cost
+    /// and clock.
+    struct BoundsProbe;
+
+    fn bounds_stats(lo: i64, hi: i64, step: i64) -> LaunchStats {
+        let cost = CostCounter {
+            int_ops: (lo * 1_000_000 + hi * 1_000 + step) as u64,
+            ..CostCounter::new()
+        };
+        LaunchStats {
+            simulated_seconds: cost.int_ops as f64 * 1e-9,
+            cost,
+            reduction_updates: Vec::new(),
+        }
+    }
+
+    impl ParallelBackend for BoundsProbe {
+        fn parallel_for(
+            &self,
+            req: &ParallelForRequest<'_>,
+            _mem: &Memory,
+        ) -> Result<LaunchStats, ExecError> {
+            Ok(bounds_stats(req.lo, req.hi, req.step))
+        }
+
+        fn compiled_parallel_for(
+            &self,
+            req: &CompiledParallelFor<'_>,
+            _mem: &Memory,
+        ) -> Result<LaunchStats, ExecError> {
+            Ok(bounds_stats(req.lo, req.hi, req.step))
+        }
+    }
+
     fn run_both(
         src: &str,
     ) -> (
         Result<ExecutionReport, ExecError>,
         Result<ExecutionReport, ExecError>,
     ) {
-        let program = parse(src, Dialect::CudaLite).unwrap();
-        let config = RunConfig::default();
+        run_both_with(src, Dialect::CudaLite, &HostOnly, RunConfig::default())
+    }
+
+    fn run_both_with(
+        src: &str,
+        dialect: Dialect,
+        backend: &dyn ParallelBackend,
+        config: RunConfig,
+    ) -> (
+        Result<ExecutionReport, ExecError>,
+        Result<ExecutionReport, ExecError>,
+    ) {
+        let program = parse(src, dialect).unwrap();
         let mut interp = HostInterpreter::new(&program, config.clone());
-        let reference = interp.run(&HostOnly, &[]);
+        let reference = interp.run(backend, &[]);
         let compiled = super::super::compile(&program, 0);
-        let vm = run_compiled(&compiled, &config, &HostOnly, &[]);
+        let vm = run_compiled(&compiled, &config, backend, &[]);
         (reference, vm)
     }
 
     fn assert_identical(src: &str) {
-        let (reference, vm) = run_both(src);
+        assert_same(run_both(src));
+    }
+
+    /// Bit-for-bit agreement of the two engines' results.
+    fn assert_same(
+        (reference, vm): (
+            Result<ExecutionReport, ExecError>,
+            Result<ExecutionReport, ExecError>,
+        ),
+    ) {
         match (reference, vm) {
             (Ok(a), Ok(b)) => {
                 assert_eq!(a.stdout, b.stdout, "stdout");
@@ -1160,6 +1245,194 @@ mod tests {
             }
             (Err(a), Err(b)) => assert_eq!(a, b, "errors must match"),
             (a, b) => panic!("engines disagree: interpreter={a:?} vm={b:?}"),
+        }
+    }
+
+    // Operands are read in place from their slots; these pin the places
+    // where a read must still be a copy, and the folded step charges.
+
+    #[test]
+    fn cuda_malloc_after_an_in_place_read_of_its_target() {
+        // `cudaMalloc(&v, ...)` rewrites `v` after an earlier operand read
+        // it: the operand must keep the value it had when it was read.
+        let src = r#"
+            int main() {
+                long n = 5;
+                long m = n + cudaMalloc(&n, 64);
+                double* p;
+                cudaMalloc(&p, 8);
+                double* q = p;
+                int same = q == p + cudaMalloc(&p, 16);
+                long k = 7;
+                int hit = 0;
+                if (k + cudaMalloc(&k, 8) == 7) { hit = 1; }
+                long t = 3;
+                long u = (t > 1) ? t * cudaMalloc(&t, 8) + t : 0;
+                printf("%ld %d %d %d\n", m, same, hit, u == t);
+                return 0;
+            }
+        "#;
+        assert_identical(src);
+        let (_, vm) = run_both(src);
+        assert!(vm.unwrap().stdout.starts_with("5 1 1 "));
+    }
+
+    #[test]
+    fn short_circuit_and_ternary_over_locals_and_literals() {
+        assert_identical(
+            r#"
+            int main() {
+                int a = 0;
+                int b = 3;
+                double x = 2.5;
+                int r1 = a && b;
+                int r2 = b && 7;
+                int r3 = a || 0;
+                int r4 = 0 || b;
+                int r5 = b || a;
+                int r6 = a ? b : 4;
+                int r7 = b ? 9 : a;
+                double r8 = (x > 2.0) ? x : 1.5;
+                int r9 = (a == 0 && b > 2) || x < 0.0;
+                int r10 = 0 && 10 / a;
+                for (int i = 0; i < 6; i++) {
+                    if (i % 2 == 0 && i > 1 || i == 5) { a += i ? i : 100; }
+                }
+                printf("%d %d %d %d %d %d %d %f %d %d %d\n", r1, r2, r3, r4, r5, r6, r7, r8, r9, r10, a);
+                return 0;
+            }
+            "#,
+        );
+    }
+
+    #[test]
+    fn call_windows_mix_locals_literals_and_temporaries() {
+        assert_identical(
+            r#"
+            double f3(double a, int b, double c) { return a * b + c; }
+            int g1(int v) { return v + 1; }
+            int main() {
+                int i = 4;
+                double d = 1.5;
+                double r = f3(d, 3, d * i) + f3(2.0, i, g1(i)) + g1(7) + g1(i) + g1(i * 2);
+                printf("%f %d %s %d %f\n", r, i, "lit", i + 1, d);
+                printf("%d %d\n", g1(g1(i)), i);
+                printf("done\n");
+                printf("%f\n", fmax(d, 2.0) + fmin(1.0, d) + sqrt(d) + pow(d, i));
+                dim3 g = dim3(i, 2);
+                printf("%d %d %d\n", g.x, g.y, g.z);
+                return 0;
+            }
+            "#,
+        );
+    }
+
+    #[test]
+    fn offloaded_loop_bounds_held_across_map_clauses() {
+        let src = r#"
+            int main() {
+                int lo = 2;
+                int hi = 40;
+                int st = 3;
+                int n = 64;
+                double* a = (double*)malloc(n * sizeof(double));
+                double* b = (double*)malloc(n * sizeof(double));
+                #pragma omp target teams distribute parallel for map(to: a[0:n]) map(from: b[0:hi])
+                for (int i = lo; i < hi; i += st) {
+                    b[i] = a[i];
+                }
+                #pragma omp target data map(to: a[0:n])
+                {
+                    #pragma omp target teams distribute parallel for map(tofrom: b[0:n - lo])
+                    for (int j = lo * 2; j <= hi; j++) {
+                        b[j] = 1.0;
+                    }
+                }
+                #pragma omp parallel for
+                for (int k = 0; k < n; k += st) {
+                    a[k] = 2.0;
+                }
+                printf("%f\n", omp_get_wtime());
+                return 0;
+            }
+        "#;
+        let (reference, vm) =
+            run_both_with(src, Dialect::OmpLite, &BoundsProbe, RunConfig::default());
+        let (a, b) = (reference.unwrap(), vm.unwrap());
+        // The probe folds every loop's bounds into the cost.
+        assert_eq!(a.cost.int_ops, b.cost.int_ops);
+        assert!(b.cost.int_ops > 2_000_000 + 40_000 + 3);
+        assert_same((Ok(a), Ok(b)));
+    }
+
+    #[test]
+    fn step_limit_sweep_across_folded_charges() {
+        // Every limit from zero to past the end of a host loop: the engines
+        // fail with the same error below the run's step count and agree
+        // bit for bit from it on. The loop's statements carry folded
+        // charges, so the kill lands inside a folded run.
+        let src = "int main() { long s = 0; for (int i = 0; i < 6; i++) { s += i * i + 3; } printf(\"%ld\\n\", s); return 0; }";
+        let program = parse(src, Dialect::CudaLite).unwrap();
+        let compiled = super::super::compile(&program, 0);
+        assert!(compiled
+            .code
+            .iter()
+            .any(|i| matches!(i, Instr::Stmt { n, .. } | Instr::LoopIter { n } if *n > 1)));
+        let total = run_compiled(&compiled, &RunConfig::default(), &HostOnly, &[])
+            .unwrap()
+            .steps;
+        for limit in 0..=total + 3 {
+            let config = RunConfig {
+                step_limit: limit,
+                ..RunConfig::default()
+            };
+            let (reference, vm) = run_both_with(src, Dialect::CudaLite, &HostOnly, config);
+            if limit < total {
+                assert_eq!(
+                    reference.as_ref().unwrap_err(),
+                    &ExecError::StepLimitExceeded { limit }
+                );
+            }
+            assert_same((reference, vm));
+        }
+
+        // The same sweep over one device thread of a kernel whose statements
+        // fold thread-coordinate and operator charges.
+        let src = "__global__ void k(int* out, int n) { int i = blockIdx.x * blockDim.x + threadIdx.x; if (i < n) { out[i] = i * 2 + n; } } int main() { return 0; }";
+        let program = parse(src, Dialect::CudaLite).unwrap();
+        let compiled = super::super::compile(&program, 0);
+        let kernel = &compiled.kernels[0];
+        let ctx = EvalContext::DeviceThread {
+            thread_idx: Dim3Val::linear(3),
+            block_idx: Dim3Val::linear(1),
+            block_dim: Dim3Val::linear(4),
+            grid_dim: Dim3Val::linear(2),
+        };
+        let run_vm = |limit: u64| {
+            let mem = Memory::new();
+            let out = mem.alloc("out", Type::Int, 8, MemSpace::Device);
+            let mut frame = kernel.consts.frame(kernel.nslots);
+            frame[0] = Value::Ptr(out);
+            frame[1] = Value::Int(8);
+            let mut vm = Vm::for_context(&compiled, ctx, limit);
+            vm.load_frame(&frame);
+            vm.run_unit(&mem, kernel.segments[0])
+                .map(|_| (vm.steps, vm.cost, mem.load(&out, 7, true, 0).unwrap()))
+        };
+        let run_eval = |limit: u64| {
+            let mem = Memory::new();
+            let out = mem.alloc("out", Type::Int, 8, MemSpace::Device);
+            let mut env = Env::new();
+            env.declare("out", Type::Int.ptr(), Value::Ptr(out));
+            env.declare("n", Type::Int, Value::Int(8));
+            let mut eval = Evaluator::for_context(&program, ctx, limit);
+            eval.exec_block(&program.function("k").unwrap().body, &mut env, &mem)
+                .map(|_| (eval.steps, eval.cost, mem.load(&out, 7, true, 0).unwrap()))
+        };
+        let total = run_vm(u64::MAX).unwrap().0;
+        assert_eq!(run_vm(u64::MAX).unwrap().2, Value::Int(22));
+        for limit in 0..=total + 3 {
+            assert_eq!(run_vm(limit), run_eval(limit), "limit {limit}");
         }
     }
 
@@ -1273,6 +1546,15 @@ mod tests {
     #[test]
     fn unbound_identifier_matches() {
         assert_identical("int main() { int x = nope; return 0; }");
+        // Context builtins are unbound outside device code, whether read
+        // whole or through a thread-coordinate member.
+        assert_identical("int main() { int x = 1 + threadIdx.x; return 0; }");
+        assert_identical("int main() { dim3 b = blockDim; return 0; }");
+        let (_, vm) = run_both("int main() { int x = 1 + threadIdx.x; return 0; }");
+        assert!(vm
+            .unwrap_err()
+            .to_string()
+            .contains("line 1: use of unbound identifier 'threadIdx'"));
     }
 
     #[test]
@@ -1343,7 +1625,7 @@ mod tests {
         let mem = Memory::new();
         let out = mem.alloc("out", Type::Int, 4, MemSpace::Device);
         let mut vm = Vm::for_context(&compiled, ctx, 100_000);
-        vm.prepare_frame(kernel.nslots);
+        vm.load_frame(&kernel.consts.frame(kernel.nslots));
         vm.set_slot(0, Value::Ptr(out));
         for &seg in &kernel.segments {
             vm.run_unit(&mem, seg).unwrap();
@@ -1379,7 +1661,7 @@ mod tests {
             grid_dim: Dim3Val::linear(4),
         };
         let mut vm = Vm::for_context(&compiled, ctx, 100_000);
-        vm.prepare_frame(kernel.nslots);
+        vm.load_frame(&kernel.consts.frame(kernel.nslots));
         vm.set_slot(0, Value::Ptr(out));
         for &seg in &kernel.segments {
             vm.run_unit(&mem, seg).unwrap();
