@@ -4,18 +4,13 @@
 //!
 //! ```text
 //! loadgen --addr HOST:PORT [--clients N] [--requests R] [--artifacts DIR]
-//!         [--smoke] [--shutdown] [--out PATH] [--run-prefix P] [--timings]
-//!         [--fleet N1,N2,...]
+//!         [--smoke] [--shutdown] [--run-prefix P] [--timings]
 //! ```
 //!
 //! Backpressure refusals (`429 queue_full`, `503 draining`) are honoured:
 //! the client sleeps for the response's `Retry-After` (jittered to 50–150%
 //! so refused clients spread out) and resends, counting the waits in the
-//! phase report. `--fleet 1,2,4` additionally measures the remote-worker
-//! scaling section of `BENCH_server.json`: for each worker count it spawns
-//! that many `worker` processes (built next to this binary), submits one
-//! full 80-scenario grid, and records wall clock plus the run's
-//! lease/requeue accounting.
+//! phase report.
 //!
 //! `--timings` prints a client-side request-latency table after the load:
 //! every request sent over a [`ClientSession`] is observed into the
@@ -30,7 +25,9 @@
 //! `done`, measuring **end-to-end sweep latency** from the submit instant
 //! to the poll that observed `done`. The two distributions answer different
 //! questions (is the control plane responsive? how long does the work
-//! take?) and the `BENCH_server.json` artifact reports both.
+//! take?) and the phase lines report both. A grep-stable `requests:` line
+//! gives each phase's request count (submissions + polls), so a scrape of
+//! `GET /v1/metrics` can be checked against it.
 //!
 //! Client `c`'s `r`-th sweep covers an *overlapping* two-application window
 //! of the benchmark list, so concurrent clients contend for the same
@@ -63,29 +60,18 @@
 //!   (requires `--artifacts` pointing at the server's directory),
 //! * `DELETE /v1/runs/{id}` removes a run, and the error envelope
 //!   (`{"error": {"code", "message", "status"}}`) carries the expected
-//!   machine-readable codes (`run_not_found`, `run_exists`),
+//!   machine-readable codes (`run_not_found`, `run_exists`).
 //!
-//! and then writes the `BENCH_server.json` perf-trajectory artifact
-//! (schema_version 3: per-phase submit + end-to-end latency percentiles,
-//! throughput, connection accounting, and the synchronous-API baseline for
-//! before/after). `--shutdown` sends `POST /v1/shutdown` at the end so a
-//! scripted server process exits.
+//! `--shutdown` sends `POST /v1/shutdown` at the end so a scripted server
+//! process exits.
 
 use std::time::{Duration, Instant};
 
-use lassi_harness::{FleetStats, Json};
+use lassi_harness::Json;
 use lassi_server::http;
 use lassi_server::http::ClientConnection;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-
-/// The committed warm-phase numbers from the PR 5 `BENCH_server.json`
-/// (schema v2), when `POST /v1/sweeps` was synchronous and one request
-/// latency covered both submission and execution. Kept in the artifact so
-/// before/after spans the API redesign: the v3 `submit` latencies are the
-/// comparable "how long until the server answers" figure.
-const BASELINE_SYNC_WARM_P50_MS: f64 = 6.767844;
-const BASELINE_SYNC_WARM_P99_MS: f64 = 11.774078;
 
 struct LoadgenArgs {
     common: lassi_bench::CommonArgs,
@@ -94,13 +80,8 @@ struct LoadgenArgs {
     requests: usize,
     smoke: bool,
     shutdown: bool,
-    out: String,
     run_prefix: String,
     timings: bool,
-    /// `--fleet 1,2,4`: after the load phases, run one full-grid sweep per
-    /// worker count through spawned `worker` processes and record the
-    /// scaling (plus lease/requeue accounting) in the bench artifact.
-    fleet: Vec<usize>,
 }
 
 fn parse_args() -> Result<LoadgenArgs, String> {
@@ -112,10 +93,8 @@ fn parse_args() -> Result<LoadgenArgs, String> {
         requests: 2,
         smoke: false,
         shutdown: false,
-        out: "BENCH_server.json".into(),
         run_prefix: "lg".into(),
         timings: false,
-        fleet: Vec::new(),
     };
     let mut iter = common.rest.into_iter();
     while let Some(arg) = iter.next() {
@@ -136,21 +115,8 @@ fn parse_args() -> Result<LoadgenArgs, String> {
             }
             "--smoke" => args.smoke = true,
             "--shutdown" => args.shutdown = true,
-            "--out" => args.out = value("--out")?,
             "--run-prefix" => args.run_prefix = value("--run-prefix")?,
             "--timings" => args.timings = true,
-            "--fleet" => {
-                let raw = value("--fleet")?;
-                args.fleet = raw
-                    .split(',')
-                    .map(|n| {
-                        n.parse::<usize>()
-                            .ok()
-                            .filter(|n| *n >= 1)
-                            .ok_or(format!("bad --fleet worker count `{n}`"))
-                    })
-                    .collect::<Result<Vec<_>, _>>()?;
-            }
             other => return Err(format!("unknown argument `{other}`")),
         }
     }
@@ -613,140 +579,6 @@ fn phase_line(label: &str, outcome: &PhaseOutcome) -> String {
     )
 }
 
-/// One `--fleet` scaling measurement: a full 80-scenario grid drained by
-/// `workers` spawned worker processes.
-struct FleetScale {
-    workers: usize,
-    scenarios: u64,
-    wall_seconds: f64,
-    fleet: FleetStats,
-}
-
-/// The current value of the unlabelled `lassi_fleet_workers_active` gauge
-/// from `GET /v1/metrics`.
-fn fleet_workers_active(addr: &str) -> Result<u64, String> {
-    let resp =
-        http::request(addr, "GET", "/v1/metrics", None).map_err(|e| format!("metrics: {e}"))?;
-    if !resp.is_success() {
-        return Err(format!("metrics: HTTP {}", resp.status));
-    }
-    for line in resp.text().lines() {
-        if let Some(value) = line.strip_prefix("lassi_fleet_workers_active ") {
-            return value
-                .trim()
-                .parse()
-                .map_err(|_| format!("bad gauge value `{value}`"));
-        }
-    }
-    Ok(0)
-}
-
-/// Run one fleet-scaling point: spawn `workers` worker processes against
-/// the server, submit a full default grid (distinct seed per point), time
-/// submit → done, and read the run's lease/requeue accounting.
-fn run_fleet_scale(args: &LoadgenArgs, workers: usize, seed: u64) -> Result<FleetScale, String> {
-    let addr = args.addr.as_str();
-    let worker_bin = std::env::current_exe()
-        .map_err(|e| format!("cannot locate own binary: {e}"))?
-        .with_file_name(format!("worker{}", std::env::consts::EXE_SUFFIX));
-    if !worker_bin.exists() {
-        return Err(format!(
-            "{} does not exist; build the `worker` binary next to loadgen \
-             for --fleet mode",
-            worker_bin.display()
-        ));
-    }
-    let mut children = Vec::with_capacity(workers);
-    for w in 0..workers {
-        let child = std::process::Command::new(&worker_bin)
-            .args([
-                "--addr",
-                addr,
-                "--worker-id",
-                &format!("{}-fleet{workers}-w{w}", args.run_prefix),
-                "--capacity",
-                "4",
-                "--poll-ms",
-                "10",
-            ])
-            .stderr(std::process::Stdio::null())
-            .spawn()
-            .map_err(|e| format!("cannot spawn {}: {e}", worker_bin.display()))?;
-        children.push(child);
-    }
-    // Kill the fleet on every exit path: a worker leaked past a failure
-    // would drain the *next* scaling point's run too.
-    let result = (|| {
-        // Wait until every worker has registered (its first lease poll), so
-        // the run drains remotely from job zero.
-        let deadline = Instant::now() + Duration::from_secs(10);
-        while fleet_workers_active(addr)? < workers as u64 {
-            if Instant::now() > deadline {
-                return Err(format!("{workers} workers did not register in 10s"));
-            }
-            std::thread::sleep(Duration::from_millis(20));
-        }
-
-        let run_id = format!("{}-fleet-n{workers}", args.run_prefix);
-        let body = format!(r#"{{"timing_runs": [1], "seed": {seed}, "run_id": "{run_id}"}}"#);
-        let started = Instant::now();
-        let resp = http::request(addr, "POST", "/v1/sweeps", Some(body.as_bytes()))
-            .map_err(|e| format!("fleet submit: {e}"))?;
-        if resp.status != 202 {
-            return Err(format!(
-                "fleet submit: expected 202, got {} — {}",
-                resp.status,
-                resp.text()
-            ));
-        }
-        let deadline = Instant::now() + SWEEP_DEADLINE;
-        let view = loop {
-            let resp = http::request(addr, "GET", &format!("/v1/runs/{run_id}"), None)
-                .map_err(|e| format!("fleet poll: {e}"))?;
-            let view =
-                lassi_harness::json::parse(&resp.text()).map_err(|e| format!("fleet poll: {e}"))?;
-            match view.get("state").and_then(|s| s.as_str()) {
-                Some("done") => break view,
-                Some("queued" | "running") => {
-                    if Instant::now() > deadline {
-                        return Err(format!(
-                            "fleet run {run_id} unfinished after {SWEEP_DEADLINE:?}"
-                        ));
-                    }
-                    std::thread::sleep(Duration::from_millis(25));
-                }
-                state => {
-                    return Err(format!(
-                        "fleet run {run_id} ended {state:?} (reason: {:?})",
-                        view.get("reason").and_then(|r| r.as_str())
-                    ))
-                }
-            }
-        };
-        let wall_seconds = started.elapsed().as_secs_f64();
-        let scenarios = view
-            .get("progress")
-            .and_then(|p| p.get("total"))
-            .and_then(Json::as_u64)
-            .ok_or("fleet run view lacks progress.total")?;
-        let fleet = view
-            .get("fleet")
-            .filter(|v| !matches!(v, Json::Null))
-            .ok_or("fleet run view lacks lease accounting")?;
-        Ok(FleetScale {
-            workers,
-            scenarios,
-            wall_seconds,
-            fleet: FleetStats::from_json(fleet),
-        })
-    })();
-    for mut child in children {
-        let _ = child.kill();
-        let _ = child.wait();
-    }
-    result
-}
-
 /// Walk `GET /v1/runs?limit=` pages to the end; returns every listed id in
 /// order and checks the pages reassemble exactly the unpaginated listing.
 fn paginated_run_ids(addr: &str, limit: usize) -> Result<Vec<String>, String> {
@@ -871,6 +703,10 @@ fn run(args: &LoadgenArgs) -> Result<(), String> {
         cold.sweeps(),
         warm.connections_opened,
         warm.sweeps(),
+    );
+    println!(
+        "requests: cold {} sent, warm {} sent",
+        cold.requests_sent, warm.requests_sent
     );
 
     if args.smoke {
@@ -1041,44 +877,6 @@ fn run(args: &LoadgenArgs) -> Result<(), String> {
         );
     }
 
-    let mut fleet_scaling = Vec::with_capacity(args.fleet.len());
-    for &workers in &args.fleet {
-        // One fixed seed for every scale point: remote leases never consult
-        // the scenario cache, so each fleet size drains the *identical*
-        // 80-scenario workload and the curve compares like with like.
-        let scale = run_fleet_scale(args, workers, 0xF1EE7)?;
-        println!(
-            "fleet n{workers}: {} scenarios in {:.3}s ({:.1} scenarios/s), \
-             {} leases granted ({} expired, {} jobs requeued, {} duplicate \
-             completions)",
-            scale.scenarios,
-            scale.wall_seconds,
-            scale.scenarios as f64 / scale.wall_seconds.max(1e-9),
-            scale.fleet.leases_granted,
-            scale.fleet.leases_expired,
-            scale.fleet.jobs_requeued,
-            scale.fleet.duplicate_completions,
-        );
-        fleet_scaling.push(scale);
-    }
-
-    write_bench(
-        args,
-        scenarios_per_phase,
-        &cold,
-        &warm,
-        [cold_hits, cold_misses, warm_hits, warm_misses],
-        &fleet_scaling,
-    )?;
-    println!(
-        "{} written (submit p50 {:.3}ms, cold e2e p50 {:.3}ms vs warm e2e p50 \
-         {:.3}ms; sync-API baseline warm p50 {BASELINE_SYNC_WARM_P50_MS:.3}ms)",
-        args.out,
-        percentile_ms(&cold.submit_ms, 50.0),
-        percentile_ms(&cold.sweep_ms, 50.0),
-        percentile_ms(&warm.sweep_ms, 50.0)
-    );
-
     if args.timings {
         print_client_timings();
     }
@@ -1117,140 +915,6 @@ fn print_client_timings() {
             snapshot.count, snapshot.sum
         );
     }
-}
-
-fn write_bench(
-    args: &LoadgenArgs,
-    scenarios_per_phase: usize,
-    cold: &PhaseOutcome,
-    warm: &PhaseOutcome,
-    [cold_hits, cold_misses, warm_hits, warm_misses]: [u64; 4],
-    fleet_scaling: &[FleetScale],
-) -> Result<(), String> {
-    let phase_fields = |label: &str, outcome: &PhaseOutcome| {
-        vec![
-            (
-                format!("{label}_wall_seconds"),
-                Json::Float(outcome.wall_seconds),
-            ),
-            (
-                format!("{label}_sweeps_per_second"),
-                Json::Float(outcome.sweeps_per_second()),
-            ),
-            (
-                format!("{label}_submit_p50_ms"),
-                Json::Float(percentile_ms(&outcome.submit_ms, 50.0)),
-            ),
-            (
-                format!("{label}_submit_p99_ms"),
-                Json::Float(percentile_ms(&outcome.submit_ms, 99.0)),
-            ),
-            (
-                format!("{label}_sweep_p50_ms"),
-                Json::Float(percentile_ms(&outcome.sweep_ms, 50.0)),
-            ),
-            (
-                format!("{label}_sweep_p99_ms"),
-                Json::Float(percentile_ms(&outcome.sweep_ms, 99.0)),
-            ),
-            (
-                format!("{label}_connections_opened"),
-                Json::Int(outcome.connections_opened as i128),
-            ),
-            (
-                format!("{label}_requests_sent"),
-                Json::Int(outcome.requests_sent as i128),
-            ),
-            (
-                format!("{label}_requests_per_connection"),
-                Json::Float(outcome.requests_per_connection()),
-            ),
-            (
-                format!("{label}_connection_retries"),
-                Json::Int(outcome.retries as i128),
-            ),
-            (
-                format!("{label}_retry_after_waits"),
-                Json::Int(outcome.backoff_waits as i128),
-            ),
-        ]
-    };
-    let warm_speedup = if warm.wall_seconds > 0.0 {
-        cold.wall_seconds / warm.wall_seconds
-    } else {
-        0.0
-    };
-    let mut fields = vec![
-        ("bench".into(), Json::Str("server-loadgen".into())),
-        // v3: async sweep submission — submission latency (time to the
-        // 202) and end-to-end sweep latency (submit → observed done) are
-        // separate distributions; `requests` counts submissions + polls.
-        // v4: per-phase `retry_after_waits` (jittered backoff after 429/503
-        // refusals) and the `fleet_scaling` section (full-grid wall clock
-        // under 1/2/4 remote workers with lease/requeue accounting).
-        ("schema_version".into(), Json::Int(4)),
-        ("created_unix".into(), Json::uint(lassi_bench::unix_now())),
-        ("clients".into(), Json::Int(args.clients as i128)),
-        (
-            "sweeps_per_client_per_phase".into(),
-            Json::Int(args.requests as i128),
-        ),
-        (
-            "scenarios_per_sweep".into(),
-            Json::Int(APPS_PER_REQUEST as i128),
-        ),
-        (
-            "scenarios_per_phase".into(),
-            Json::Int(scenarios_per_phase as i128),
-        ),
-        ("sweeps_per_phase".into(), Json::Int(cold.sweeps() as i128)),
-    ];
-    fields.extend(phase_fields("cold", cold));
-    fields.extend(phase_fields("warm", warm));
-    fields.extend([
-        ("warm_speedup".into(), Json::Float(warm_speedup)),
-        ("cold_cache_hits".into(), Json::uint(cold_hits)),
-        ("cold_cache_misses".into(), Json::uint(cold_misses)),
-        ("warm_cache_hits".into(), Json::uint(warm_hits)),
-        ("warm_cache_misses".into(), Json::uint(warm_misses)),
-        // The synchronous-API (schema v2) warm request latencies, for
-        // before/after across the redesign: a v2 "request" covered both
-        // submission and execution, comparable to v3 `submit` + `sweep`.
-        (
-            "baseline_sync_warm_p50_ms".into(),
-            Json::Float(BASELINE_SYNC_WARM_P50_MS),
-        ),
-        (
-            "baseline_sync_warm_p99_ms".into(),
-            Json::Float(BASELINE_SYNC_WARM_P99_MS),
-        ),
-        (
-            "fleet_scaling".into(),
-            Json::Array(
-                fleet_scaling
-                    .iter()
-                    .map(|scale| {
-                        let mut fields = vec![
-                            ("workers".into(), Json::Int(scale.workers as i128)),
-                            ("scenarios".into(), Json::uint(scale.scenarios)),
-                            ("wall_seconds".into(), Json::Float(scale.wall_seconds)),
-                            (
-                                "scenarios_per_second".into(),
-                                Json::Float(scale.scenarios as f64 / scale.wall_seconds.max(1e-9)),
-                            ),
-                        ];
-                        if let Json::Object(counts) = scale.fleet.to_json() {
-                            fields.extend(counts);
-                        }
-                        Json::Object(fields)
-                    })
-                    .collect(),
-            ),
-        ),
-    ]);
-    let mut text = Json::Object(fields).to_pretty();
-    text.push('\n');
-    std::fs::write(&args.out, text).map_err(|e| format!("cannot write {}: {e}", args.out))
 }
 
 fn main() {

@@ -22,8 +22,7 @@
 //! table — parse / sema / compile / llm / execute / similarity — from the
 //! process-wide `lassi-obs` metrics registry after the sweep, followed by
 //! the compiled-program and execution-report cache counters and the execute
-//! stage's share of instrumented stage time; `full` also embeds the same
-//! breakdown as `stage_breakdown` in `BENCH_fullgrid.json`.
+//! stage's share of instrumented stage time.
 //!
 //! `--diag-summary` (on `run`, `full` and `smoke`) prints the sweep's
 //! structured findings aggregated per stable diagnostic code after the
@@ -42,22 +41,22 @@
 //! every model × both directions (10 × 4 × 2 = 80 scenarios per config
 //! cell) — twice through the worker pool and the scenario cache (cold, then
 //! warm), saves the artifact as `run-fullgrid/` (replacing any previous
-//! one), verifies it round-trips, and emits a `BENCH_fullgrid.json`
-//! perf-trajectory artifact (cold/warm wall clock, scenarios/sec, cache hit
-//! rates). The grid dimensions are fixed by definition; narrowing flags
-//! (`--models`, `--apps`, `--directions`) are rejected.
+//! one) and verifies it round-trips. The grid dimensions are fixed by
+//! definition; narrowing flags (`--models`, `--apps`, `--directions`) are
+//! rejected.
 //!
 //! `sweep smoke` is the self-checking CI entry point over a tiny 2-application
 //! × 1-model grid. The cold/warm measurement runs against a *throwaway*
 //! cache directory so "cold" genuinely means 0% hits and "warm" 100% — a
-//! pre-warmed shared cache must not be able to fake the cold numbers (it
-//! once did: the committed `cold_cache_hit_rate` read 1.0). A third,
+//! pre-warmed shared cache must not be able to fake the cold numbers. A third,
 //! separate pass then goes through the persistent shared cache at
 //! `<artifacts>/cache`; because that cache survives the process, a *second*
 //! `sweep smoke` invocation reports 100% hits on this shared pass — CI
 //! asserts exactly that. The artifact is written from the shared pass and
-//! verified to round-trip (including a byte-identical table re-rendering),
-//! and the fresh-cache numbers become `BENCH_harness.json`.
+//! verified to round-trip (including a byte-identical table re-rendering).
+//!
+//! Speed is measured by `perfbench` (see `BENCHMARK.json`), not here: the
+//! wall-clock on the pass lines is informational only.
 //!
 //! `sweep verify <run-dir>` reloads a saved artifact with the round-trip loader,
 //! recomputes every summary from the records and compares it against the
@@ -416,18 +415,12 @@ fn verify_diagnostics_document(
 /// hits and must reproduce the cold records exactly. "Exactly" is judged on
 /// the serialized (codec) form — derived `PartialEq` would declare a
 /// NaN-carrying record unequal to itself, failing precisely the degenerate
-/// records the artifact store is built to tolerate.
-#[allow(clippy::type_complexity)]
+/// records the artifact store is built to tolerate. Returns the cold pass's
+/// outputs and cache-counter delta.
 fn cold_then_warm(
     harness: &Harness,
     grid: &SweepGrid,
-) -> Result<
-    (
-        (Vec<JobOutput>, f64, CacheSnapshot),
-        (Vec<JobOutput>, f64, CacheSnapshot),
-    ),
-    String,
-> {
+) -> Result<(Vec<JobOutput>, CacheSnapshot), String> {
     let (cold_out, cold_wall, cold_delta) = run_pass(harness, grid.jobs());
     println!("{}", pass_line("cold", &cold_out, cold_wall, cold_delta));
     let (warm_out, warm_wall, warm_delta) = run_pass(harness, grid.jobs());
@@ -450,10 +443,7 @@ fn cold_then_warm(
             ));
         }
     }
-    Ok((
-        (cold_out, cold_wall, cold_delta),
-        (warm_out, warm_wall, warm_delta),
-    ))
+    Ok((cold_out, cold_delta))
 }
 
 /// Per-stage pipeline timings accumulated in the process-wide metrics
@@ -602,89 +592,6 @@ fn print_diag_summary(per_cell: &[(GridCell, Vec<lassi_core::TranslationRecord>)
     }
 }
 
-/// The `stage_breakdown` object of `BENCH_fullgrid.json`: per-stage sample
-/// counts and total seconds, from the same registry as `--timings`.
-fn stage_breakdown() -> Json {
-    Json::Object(
-        stage_rows()
-            .into_iter()
-            .map(|(stage, count, sum)| {
-                (
-                    stage.to_string(),
-                    Json::Object(vec![
-                        ("samples".into(), Json::uint(count)),
-                        ("total_seconds".into(), Json::Float(sum)),
-                    ]),
-                )
-            })
-            .collect(),
-    )
-}
-
-/// The `program_cache` / `report_cache` objects of `BENCH_fullgrid.json`:
-/// counters from the same process-wide caches as `--timings`.
-fn cache_counters_json(s: lassi_core::ProgramCacheStats) -> Json {
-    Json::Object(vec![
-        ("hits".into(), Json::uint(s.hits)),
-        ("misses".into(), Json::uint(s.misses)),
-        ("hit_rate".into(), Json::Float(s.hit_rate())),
-        ("entries".into(), Json::uint(s.entries)),
-        ("approx_bytes".into(), Json::uint(s.approx_bytes)),
-    ])
-}
-
-/// Throughput of one pass (0.0 for a degenerate zero wall-clock) — the one
-/// definition shared by the trajectory artifacts and the console lines.
-fn scenarios_per_second(scenarios: usize, wall: f64) -> f64 {
-    if wall > 0.0 {
-        scenarios as f64 / wall
-    } else {
-        0.0
-    }
-}
-
-/// Write a `BENCH_*.json` perf-trajectory artifact: identity fields, any
-/// bench-specific extras, then the shared cold/warm wall-clock, throughput,
-/// speedup and cache-hit-rate tail.
-fn write_trajectory(
-    path: &str,
-    bench: &str,
-    extra: Vec<(String, Json)>,
-    scenarios: usize,
-    workers: usize,
-    cold: (f64, CacheSnapshot),
-    warm: (f64, CacheSnapshot),
-) -> Result<(), String> {
-    let per_second = |wall: f64| scenarios_per_second(scenarios, wall);
-    let speedup = if warm.0 > 0.0 { cold.0 / warm.0 } else { 0.0 };
-    let mut fields = vec![
-        ("bench".into(), Json::Str(bench.into())),
-        ("schema_version".into(), Json::Int(1)),
-        ("created_unix".into(), Json::uint(lassi_bench::unix_now())),
-    ];
-    fields.extend(extra);
-    fields.extend([
-        ("scenarios".into(), Json::Int(scenarios as i128)),
-        ("workers".into(), Json::Int(workers as i128)),
-        ("cold_wall_seconds".into(), Json::Float(cold.0)),
-        ("warm_wall_seconds".into(), Json::Float(warm.0)),
-        (
-            "cold_scenarios_per_second".into(),
-            Json::Float(per_second(cold.0)),
-        ),
-        (
-            "warm_scenarios_per_second".into(),
-            Json::Float(per_second(warm.0)),
-        ),
-        ("warm_speedup".into(), Json::Float(speedup)),
-        ("cold_cache_hit_rate".into(), Json::Float(cold.1.hit_rate())),
-        ("warm_cache_hit_rate".into(), Json::Float(warm.1.hit_rate())),
-    ]);
-    let mut text = Json::Object(fields).to_pretty();
-    text.push('\n');
-    std::fs::write(path, text).map_err(|e| format!("cannot write {path}: {e}"))
-}
-
 fn smoke(args: &SweepArgs) -> Result<(), String> {
     let base = PipelineConfig {
         timing_runs: 1,
@@ -704,7 +611,6 @@ fn smoke(args: &SweepArgs) -> Result<(), String> {
         return Err("`sweep smoke` needs the scenario cache (drop --no-cache)".into());
     }
     let options = lassi_harness::HarnessOptions::default().with_workers(args.common.workers);
-    let workers = options.workers;
 
     // Cold/warm measurement over a *throwaway* disk cache, so the cold pass
     // cannot be faked by a cache warmed in an earlier invocation: cold must
@@ -720,7 +626,7 @@ fn smoke(args: &SweepArgs) -> Result<(), String> {
     // error path too, before `?` bails.
     fresh_harness.flush_cache();
     let _ = std::fs::remove_dir_all(&fresh_dir);
-    let ((_, cold_wall, cold_delta), (warm_out, warm_wall, warm_delta)) = measured?;
+    let (_, cold_delta) = measured?;
     if cold_delta.hits != 0 {
         return Err(format!(
             "cold pass on a fresh cache must have 0 hits, got {}",
@@ -781,20 +687,6 @@ fn smoke(args: &SweepArgs) -> Result<(), String> {
     if args.diag_summary {
         print_diag_summary(&per_cell);
     }
-
-    write_trajectory(
-        "BENCH_harness.json",
-        "harness-smoke",
-        Vec::new(),
-        warm_out.len(),
-        workers,
-        (cold_wall, cold_delta),
-        (warm_wall, warm_delta),
-    )?;
-    println!(
-        "BENCH_harness.json written (cold {:.3}s vs warm {:.3}s)",
-        cold_wall, warm_wall
-    );
     Ok(())
 }
 
@@ -856,7 +748,7 @@ fn full_sweep(args: &SweepArgs) -> Result<(), String> {
 
 /// The complete paper grid — every application × every model × both
 /// directions — run cold then warm through the worker pool and the scenario
-/// cache, with a `BENCH_fullgrid.json` perf-trajectory artifact.
+/// cache.
 fn full_grid(args: &SweepArgs) -> Result<(), String> {
     if args.narrowed {
         return Err(
@@ -902,8 +794,7 @@ fn full_grid(args: &SweepArgs) -> Result<(), String> {
         grid.len(),
     );
 
-    let ((cold_out, cold_wall, cold_delta), (_, warm_wall, warm_delta)) =
-        cold_then_warm(&harness, &grid)?;
+    let (cold_out, _) = cold_then_warm(&harness, &grid)?;
     // Flush the batched cache writes: CI's second `sweep full` invocation
     // asserts its cold pass is 100% disk-cache hits.
     harness.flush_cache();
@@ -921,49 +812,6 @@ fn full_grid(args: &SweepArgs) -> Result<(), String> {
     let store = lassi_bench::artifact_store(&args.common);
     println!("{}", verify_artifact(&store.run_dir("fullgrid"))?);
 
-    write_trajectory(
-        "BENCH_fullgrid.json",
-        "fullgrid-sweep",
-        vec![
-            ("applications".into(), Json::Int(grid.apps.len() as i128)),
-            ("models".into(), Json::Int(grid.models.len() as i128)),
-            (
-                "directions".into(),
-                Json::Int(grid.directions.len() as i128),
-            ),
-            (
-                "config_cells".into(),
-                Json::Int((grid.max_self_corrections.len() * grid.timing_runs.len()) as i128),
-            ),
-            // Where pipeline wall-clock went, stage by stage (the cold
-            // pass; warm scenarios are cache-served and never enter the
-            // pipeline).
-            ("stage_breakdown".into(), stage_breakdown()),
-            // Cache counters: 730 cold executions should compile each
-            // distinct program exactly once (program_cache) and run it on
-            // the VM exactly once (report_cache) — execution is
-            // deterministic, so every repeat replays the first report.
-            (
-                "program_cache".into(),
-                cache_counters_json(lassi_core::progcache::stats()),
-            ),
-            (
-                "report_cache".into(),
-                cache_counters_json(lassi_core::progcache::report_stats()),
-            ),
-        ],
-        grid.len(),
-        workers,
-        (cold_wall, cold_delta),
-        (warm_wall, warm_delta),
-    )?;
-    println!(
-        "BENCH_fullgrid.json written (cold {:.3}s = {:.1} scenarios/s, \
-         warm {:.3}s)",
-        cold_wall,
-        scenarios_per_second(grid.len(), cold_wall),
-        warm_wall
-    );
     for (cell, records) in &per_cell {
         let stats = AggregateStats::from_outcomes(&scenario_outcomes(records));
         println!("\n=== {} ===\n{stats}", cell.slug());

@@ -13,9 +13,11 @@
 //! * **`sweep`**: arbitrary config-grid sweeps (models × apps × directions ×
 //!   `max_self_corrections` × `timing_runs`) with a persistent scenario
 //!   cache; `sweep smoke` is the self-checking CI entry point.
-//! * **criterion benches** (`cargo bench -p lassi-bench`): `frontend`,
-//!   `simulators` and `pipeline` measure the wall-clock cost of the
-//!   front-end, the two execution substrates and the end-to-end pipeline.
+//! * **`serve`, `worker` and `loadgen`**: the HTTP service, a remote
+//!   fleet worker, and a self-checking load generator for the service.
+//!
+//! Speed is measured by the separate `perfbench` package (declared in
+//! `BENCHMARK.json`), not by this crate.
 
 use std::path::PathBuf;
 

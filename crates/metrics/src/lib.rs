@@ -32,7 +32,7 @@ pub fn runtime_ratio(original_seconds: f64, generated_seconds: f64) -> Option<f6
     }
 }
 
-/// The paper's "within 10% of or faster than the original" criterion on a
+/// The paper's "within 10% of or faster than the original" test on a
 /// runtime ratio (ratio ≥ 0.9 means the generated code is at most ~10% slower).
 pub fn within_ten_percent_or_faster(ratio: f64) -> bool {
     ratio >= 0.9

@@ -9,7 +9,7 @@
 //!    Registration (`Registry::counter` etc.) takes a mutex once — callers
 //!    on hot paths register at startup and cache the handle.
 //! 2. **One registry, many views.** `/v1/metrics`, `/v1/cache/stats`, the
-//!    `--timings` tables and `BENCH_*.json` stage breakdowns all read the
+//!    `--timings` tables and perfbench's per-layer metrics all read the
 //!    same counters; nothing is double-counted.
 //! 3. **Deterministic exposition.** Families and series render in sorted
 //!    order with stable float formatting, so the format can be pinned by a
