@@ -16,7 +16,10 @@ use crate::config::PipelineConfig;
 /// The instrumented pipeline stages, in execution order. Each stage's time
 /// accumulates into the `lassi_stage_seconds{stage="..."}` histogram of the
 /// process-wide registry — the breakdown `sweep --timings` tabulates and
-/// perfbench reports per layer.
+/// perfbench reports per layer. The parse and sema timers count real front-end
+/// work only: when the model answers with exactly the code whose parse or
+/// sema just failed, the self-correction loop records that failure again
+/// without re-running (and re-timing) either stage.
 pub const STAGE_NAMES: &[&str] = &["parse", "sema", "compile", "llm", "execute", "similarity"];
 
 /// Per-stage histogram handles, registered once per pipeline instance and
@@ -99,8 +102,9 @@ pub struct AttemptDiagnostics {
     pub diagnostics: Vec<Diagnostic>,
 }
 
-/// A stage failure inside `compile_and_run`, before it is anchored to a
+/// A failed parse, sema or execute stage, before it is anchored to a
 /// self-correction round.
+#[derive(Clone)]
 struct StageFailure {
     stage: &'static str,
     diagnostics: Vec<Diagnostic>,
@@ -197,31 +201,42 @@ impl<M: ChatModel> Lassi<M> {
         resp.text
     }
 
-    /// Compile and execute a program, averaging `timing_runs` executions the
-    /// way the paper averages three runs. Returns the last report with the
-    /// averaged runtime substituted.
+    /// The front end: parse `code` and check the program, returning it with
+    /// the check's non-fatal warnings, or the coded diagnostics of the stage
+    /// that rejected it.
+    fn check(
+        &self,
+        code: &str,
+        dialect: Dialect,
+    ) -> Result<(Program, Vec<Diagnostic>), StageFailure> {
+        let program =
+            timed(&self.stages.parse, || parse(code, dialect)).map_err(|d| StageFailure {
+                stage: "parse",
+                diagnostics: vec![d],
+            })?;
+        let warnings = timed(&self.stages.sema, || lassi_sema::compile(&program))
+            .map_err(|diagnostics| StageFailure {
+                stage: "sema",
+                diagnostics,
+            })?
+            .warnings;
+        Ok((program, warnings))
+    }
+
+    /// Compile and execute a checked program, averaging `timing_runs`
+    /// executions the way the paper averages three runs. Returns the last
+    /// report with the averaged runtime substituted.
     ///
-    /// The checked program is lowered to register bytecode first (cached
+    /// The program is lowered to register bytecode first (cached
     /// process-wide, so each distinct program compiles once per sweep) and
     /// the VM runs it; execution reports are memoized per (program, config,
     /// machine) — the simulator is deterministic, so the grid's timing
     /// repeats and cross-scenario re-runs of the same program replay the
     /// first run's report bit for bit instead of re-executing it.
     ///
-    /// On success the compile's non-fatal warnings ride along so callers can
-    /// record them; on failure the coded diagnostics come back attached to
-    /// the stage that produced them (execution errors are wrapped as
-    /// `exec/runtime-error`).
-    fn compile_and_run(
-        &self,
-        program: &Program,
-    ) -> Result<(ExecutionReport, Vec<Diagnostic>), StageFailure> {
-        let warnings = timed(&self.stages.sema, || lassi_sema::compile(program))
-            .map_err(|diagnostics| StageFailure {
-                stage: "sema",
-                diagnostics,
-            })?
-            .warnings;
+    /// Execution errors come back as `exec/runtime-error` diagnostics of the
+    /// `execute` stage.
+    fn run(&self, program: &Program) -> Result<ExecutionReport, StageFailure> {
         let exec_failure = |msg: String| StageFailure {
             stage: "execute",
             diagnostics: vec![Diagnostic::error(0, msg).with_code("exec/runtime-error")],
@@ -229,13 +244,11 @@ impl<M: ChatModel> Lassi<M> {
         let runs = self.config.timing_runs.max(1);
         let mut last: Option<ExecutionReport> = None;
         let mut total = 0.0;
-        let compiled = timed(&self.stages.compile, || {
-            crate::progcache::get_or_compile(program, &self.config.run_config, 0)
+        let (program_key, compiled) = timed(&self.stages.compile, || {
+            let key = crate::progcache::cache_key(program, &self.config.run_config, 0);
+            (key, crate::progcache::get_or_compile(key, program, 0))
         });
-        let run_key = crate::progcache::report_key(
-            crate::progcache::cache_key(program, &self.config.run_config, 0),
-            self.machine.name(),
-        );
+        let run_key = crate::progcache::report_key(program_key, self.machine.name());
         for _ in 0..runs {
             let report = timed(&self.stages.execute, || {
                 crate::progcache::get_or_run(run_key, || {
@@ -254,7 +267,7 @@ impl<M: ChatModel> Lassi<M> {
         }
         let mut report = last.expect("at least one run");
         report.simulated_seconds = total / runs as f64;
-        Ok((report, warnings))
+        Ok(report)
     }
 
     /// Run the full pipeline for one application and source dialect,
@@ -295,39 +308,19 @@ impl<M: ChatModel> Lassi<M> {
         // ------------------------------------------------ source preparation
         // §III-A: both the original source and the target-language reference
         // must compile and run locally before translation proceeds.
-        let source_program = match timed(&self.stages.parse, || parse(source_code, source_dialect))
-        {
-            Ok(p) => p,
-            Err(d) => {
-                record.diagnostics.push(AttemptDiagnostics {
-                    round: 0,
-                    stage: "parse".to_string(),
-                    diagnostics: vec![d],
-                });
-                return record;
-            }
+        let baseline = |code: &str, dialect: Dialect| {
+            self.check(code, dialect)
+                .and_then(|(program, _)| self.run(&program))
         };
-        let source_report = match self.compile_and_run(&source_program) {
-            Ok((r, _)) => r,
+        let source_report = match baseline(source_code, source_dialect) {
+            Ok(r) => r,
             Err(failure) => {
                 record.diagnostics.push(failure.at_round(0));
                 return record;
             }
         };
-        let reference_program =
-            match timed(&self.stages.parse, || parse(reference_code, target_dialect)) {
-                Ok(p) => p,
-                Err(d) => {
-                    record.diagnostics.push(AttemptDiagnostics {
-                        round: 0,
-                        stage: "parse".to_string(),
-                        diagnostics: vec![d],
-                    });
-                    return record;
-                }
-            };
-        let reference_report = match self.compile_and_run(&reference_program) {
-            Ok((r, _)) => r,
+        let reference_report = match baseline(reference_code, target_dialect) {
+            Ok(r) => r,
             Err(failure) => {
                 record.diagnostics.push(failure.at_round(0));
                 return record;
@@ -379,29 +372,25 @@ impl<M: ChatModel> Lassi<M> {
         // -------------------------------------------- self-correcting loops
         let compiler_command = target_dialect.compiler_command();
         let mut final_report: Option<ExecutionReport> = None;
+        // The front end is deterministic in (code, dialect), so an answer
+        // identical to the last code that failed to compile fails the same
+        // way: its failure is recorded again without re-running parse and
+        // sema. One entry per scenario.
+        let mut last_failure: Option<(String, StageFailure)> = None;
         loop {
             // Compile loop (§III-D1): keep re-prompting until it compiles.
-            let program = loop {
-                let compile_result = timed(&self.stages.parse, || parse(&code, target_dialect))
-                    .map_err(|d| StageFailure {
-                        stage: "parse",
-                        diagnostics: vec![d],
-                    })
-                    .and_then(|p| {
-                        timed(&self.stages.sema, || lassi_sema::compile(&p))
-                            .map(|_| p)
-                            .map_err(|diagnostics| StageFailure {
-                                stage: "sema",
-                                diagnostics,
-                            })
-                    });
+            let checked = loop {
+                let compile_result = match &last_failure {
+                    Some((failed_code, failure)) if *failed_code == code => Err(failure.clone()),
+                    _ => self.check(&code, target_dialect),
+                };
                 match compile_result {
-                    Ok(program) => break Some(program),
+                    Ok(checked) => break Some(checked),
                     Err(failure) => {
                         let error_text = failure.render();
                         record
                             .diagnostics
-                            .push(failure.at_round(record.self_corrections));
+                            .push(failure.clone().at_round(record.self_corrections));
                         if record.self_corrections >= self.config.max_self_corrections {
                             record.status = ScenarioStatus::CompileGaveUp;
                             break None;
@@ -413,17 +402,21 @@ impl<M: ChatModel> Lassi<M> {
                             &error_text,
                         );
                         let response = self.complete(system, &prompt);
-                        if let Some(new_code) = extract_code_block(&response) {
-                            code = new_code;
-                        }
+                        let failed_code = match extract_code_block(&response) {
+                            Some(new_code) => std::mem::replace(&mut code, new_code),
+                            None => code.clone(),
+                        };
+                        last_failure = Some((failed_code, failure));
                     }
                 }
             };
-            let Some(program) = program else { break };
+            let Some((program, warnings)) = checked else {
+                break;
+            };
 
             // Execution loop (§III-D2).
-            match self.compile_and_run(&program) {
-                Ok((report, warnings)) => {
+            match self.run(&program) {
+                Ok(report) => {
                     // Surface non-fatal warnings from the final successful
                     // compile instead of dropping them on the floor.
                     if !warnings.is_empty() {
@@ -653,6 +646,64 @@ mod tests {
                     !d.code.is_empty(),
                     "uncoded diagnostic in attempt history: {d:?}"
                 );
+            }
+        }
+    }
+
+    /// A model that answers every prompt with the same fenced code.
+    struct Stubborn(&'static str);
+
+    impl ChatModel for Stubborn {
+        fn name(&self) -> &str {
+            "stubborn"
+        }
+
+        fn context_tokens(&self) -> usize {
+            1 << 20
+        }
+
+        fn complete(&mut self, _system: &str, _user: &str) -> lassi_llm::LlmResponse {
+            lassi_llm::LlmResponse {
+                text: format!("```\n{}\n```", self.0),
+                prompt_tokens: 1,
+                response_tokens: 1,
+                context_overflow: false,
+            }
+        }
+    }
+
+    #[test]
+    fn repeated_identical_failures_are_recorded_at_every_round() {
+        // One answer that never parses, one that parses but fails sema: the
+        // loop skips the front end for the repeats, and every round's record
+        // must still equal a fresh parse/sema of that code.
+        let app = application("layout").unwrap();
+        let config = PipelineConfig::default();
+        for (code, stage) in [
+            ("int main() { int x = ; return 0; }", "parse"),
+            ("int main() { y = 1; return 0; }", "sema"),
+        ] {
+            let target = Dialect::OmpLite;
+            let fresh = match parse(code, target) {
+                Err(d) => ("parse", vec![d]),
+                Ok(p) => (
+                    "sema",
+                    lassi_sema::compile(&p).expect_err("sema rejects it"),
+                ),
+            };
+            assert_eq!(fresh.0, stage);
+            let mut pipeline = Lassi::new(Stubborn(code), config.clone());
+            let record = pipeline.translate_application(&app, Dialect::CudaLite);
+            assert_eq!(record.status, ScenarioStatus::CompileGaveUp);
+            assert_eq!(record.self_corrections, config.max_self_corrections);
+            let rounds: Vec<u32> = record.diagnostics.iter().map(|a| a.round).collect();
+            assert_eq!(
+                rounds,
+                (0..=config.max_self_corrections).collect::<Vec<_>>()
+            );
+            for attempt in &record.diagnostics {
+                assert_eq!(attempt.stage, fresh.0, "round {}", attempt.round);
+                assert_eq!(attempt.diagnostics, fresh.1, "round {}", attempt.round);
             }
         }
     }

@@ -133,9 +133,10 @@ pub fn cache_key(program: &Program, config: &RunConfig, argc: usize) -> u64 {
     fnv1a64(canonical.as_bytes())
 }
 
-/// Fetch the compiled form of `program`, lowering it on first sight.
-pub fn get_or_compile(program: &Program, config: &RunConfig, argc: usize) -> Arc<CompiledProgram> {
-    let key = cache_key(program, config, argc);
+/// Fetch the compiled form of `program`, lowering it on first sight. `key`
+/// is its [`cache_key`] under the run configuration and `argc` it will run
+/// with; the caller computes it once and reuses it for [`report_key`].
+pub fn get_or_compile(key: u64, program: &Program, argc: usize) -> Arc<CompiledProgram> {
     let (compiled, computed) = single_flight(cache(), key, || {
         Arc::new(lassi_runtime::compile(program, argc))
     });
@@ -218,8 +219,9 @@ mod tests {
         .unwrap();
         let config = RunConfig::default();
         let before = stats();
-        let first = get_or_compile(&program, &config, 0);
-        let second = get_or_compile(&program, &config, 0);
+        let key = cache_key(&program, &config, 0);
+        let first = get_or_compile(key, &program, 0);
+        let second = get_or_compile(key, &program, 0);
         assert!(Arc::ptr_eq(&first, &second));
         let after = stats();
         assert!(after.misses > before.misses);

@@ -61,12 +61,28 @@ impl Parser {
         self.peek().line
     }
 
+    /// Consume the current token. The parser never backtracks, so the token
+    /// is moved out of the stream (its slot keeps only the line); the
+    /// trailing `Eof` stays in place and is returned by every later call.
     fn bump(&mut self) -> Token {
-        let t = self.tokens[self.pos.min(self.tokens.len() - 1)].clone();
-        if self.pos < self.tokens.len() - 1 {
+        let last = self.tokens.len() - 1;
+        if self.pos < last {
+            let line = self.tokens[self.pos].line;
+            let t = std::mem::replace(&mut self.tokens[self.pos], Token::new(TokenKind::Eof, line));
             self.pos += 1;
+            t
+        } else {
+            self.tokens[last].clone()
         }
-        t
+    }
+
+    /// Consume the current token, which the caller has peeked to be an
+    /// identifier, and return its name.
+    fn bump_ident(&mut self) -> String {
+        match self.bump().kind {
+            TokenKind::Ident(s) => s,
+            other => unreachable!("bump_ident on '{other}'"),
+        }
     }
 
     fn at_ident(&self, word: &str) -> bool {
@@ -104,11 +120,8 @@ impl Parser {
     }
 
     fn expect_ident(&mut self, what: &str) -> Result<String, Diagnostic> {
-        match self.peek_kind().clone() {
-            TokenKind::Ident(s) => {
-                self.bump();
-                Ok(s)
-            }
+        match self.peek_kind() {
+            TokenKind::Ident(_) => Ok(self.bump_ident()),
             other => Err(Diagnostic::error(
                 self.line(),
                 format!("expected {what}, found '{other}'"),
@@ -254,9 +267,11 @@ impl Parser {
     /// Parse a single statement (the body of a pragma, a loop, etc.).
     pub fn parse_stmt(&mut self) -> Result<Stmt, Diagnostic> {
         let line = self.line();
-        match self.peek_kind().clone() {
-            TokenKind::PragmaLine(text) => {
-                self.bump();
+        match self.peek_kind() {
+            TokenKind::PragmaLine(_) => {
+                let TokenKind::PragmaLine(text) = self.bump().kind else {
+                    unreachable!("peeked a pragma line")
+                };
                 let directive = parse_pragma(&text, line)?;
                 let body = if directive.kind.takes_body() {
                     Some(Box::new(self.parse_stmt()?))
@@ -687,31 +702,29 @@ impl Parser {
 
     fn parse_primary(&mut self) -> Result<Expr, Diagnostic> {
         let line = self.line();
-        match self.peek_kind().clone() {
-            TokenKind::IntLit(v) => {
+        match self.peek_kind() {
+            &TokenKind::IntLit(v) => {
                 self.bump();
                 Ok(Expr::IntLit(v))
             }
-            TokenKind::FloatLit(v) => {
+            &TokenKind::FloatLit(v) => {
                 self.bump();
                 Ok(Expr::FloatLit(v))
             }
-            TokenKind::StrLit(s) => {
-                self.bump();
-                Ok(Expr::StrLit(s))
-            }
-            TokenKind::Ident(name) => {
+            TokenKind::StrLit(_) => match self.bump().kind {
+                TokenKind::StrLit(s) => Ok(Expr::StrLit(s)),
+                other => unreachable!("peeked a string literal, took '{other}'"),
+            },
+            TokenKind::Ident(_) => {
+                let name = self.bump_ident();
                 if name == "sizeof" {
-                    self.bump();
                     self.expect(&TokenKind::LParen, "'(' after sizeof")?;
                     let ty = self.parse_type()?;
                     self.expect(&TokenKind::RParen, "')' after sizeof type")?;
                     return Ok(Expr::Sizeof(ty));
                 }
                 // Function call: ident '('
-                if self.peek_ahead(1) == &TokenKind::LParen {
-                    self.bump();
-                    self.bump();
+                if self.eat(&TokenKind::LParen) {
                     let mut args = Vec::new();
                     if !self.eat(&TokenKind::RParen) {
                         loop {
@@ -725,7 +738,6 @@ impl Parser {
                     }
                     return Ok(Expr::call(name, args));
                 }
-                self.bump();
                 Ok(Expr::Ident(name))
             }
             TokenKind::LParen => {

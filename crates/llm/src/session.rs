@@ -45,6 +45,40 @@ pub trait ChatModel {
 struct SessionState {
     clean_source: String,
     faults: Vec<Fault>,
+    /// The fenced answer for `clean_source` with every fault applied, and
+    /// its token count. Rebuilt by [`SessionState::render`] whenever `faults`
+    /// changes; about half of all corrections change nothing and answer with
+    /// it as is.
+    response: String,
+    response_tokens: usize,
+}
+
+impl SessionState {
+    fn new(clean_source: String, faults: Vec<Fault>) -> SessionState {
+        let mut state = SessionState {
+            clean_source,
+            faults,
+            response: String::new(),
+            response_tokens: 0,
+        };
+        state.render();
+        state
+    }
+
+    /// Re-apply every fault to the clean source. Call after changing `faults`.
+    fn render(&mut self) {
+        let mut code = self.clean_source.clone();
+        for fault in &self.faults {
+            code = fault.apply(&code);
+        }
+        self.response = fence(&code);
+        self.response_tokens = count_tokens(&self.response);
+    }
+}
+
+/// Wrap generated code in the fenced block the pipeline extracts.
+fn fence(code: &str) -> String {
+    format!("```\n{}\n```", code.trim_end())
 }
 
 /// The simulated LLM: translation engine + capability profile + session state.
@@ -87,23 +121,21 @@ impl SimulatedLlm {
             .map_or_else(Vec::new, |s| s.faults.iter().map(|f| f.label()).collect())
     }
 
-    fn render(&self) -> String {
-        let Some(state) = &self.state else {
-            return String::new();
+    /// Answer with the session's current code (an empty block if there is
+    /// no session).
+    fn respond_with_code(&self, prompt_tokens: usize, overflow: bool) -> LlmResponse {
+        let (text, response_tokens) = match &self.state {
+            Some(state) => (state.response.clone(), state.response_tokens),
+            None => {
+                let text = fence("");
+                let tokens = count_tokens(&text);
+                (text, tokens)
+            }
         };
-        let mut text = state.clean_source.clone();
-        for fault in &state.faults {
-            text = fault.apply(&text);
-        }
-        text
-    }
-
-    fn respond_with_code(&self, code: &str, prompt_tokens: usize, overflow: bool) -> LlmResponse {
-        let text = format!("```\n{}\n```", code.trim_end());
         LlmResponse {
-            response_tokens: count_tokens(&text),
             text,
             prompt_tokens,
+            response_tokens,
             context_overflow: overflow,
         }
     }
@@ -196,12 +228,8 @@ impl SimulatedLlm {
             faults.push(f);
         }
 
-        self.state = Some(SessionState {
-            clean_source: translated_source,
-            faults,
-        });
-        let rendered = self.render();
-        self.respond_with_code(&rendered, prompt_tokens, overflow)
+        self.state = Some(SessionState::new(translated_source, faults));
+        self.respond_with_code(prompt_tokens, overflow)
     }
 
     fn handle_correction(
@@ -217,10 +245,7 @@ impl SimulatedLlm {
             // The model is asked to fix code it never produced (e.g. the
             // pipeline was driven manually); adopt the code from the prompt.
             if let Some(code) = extract_code_block(user_prompt) {
-                self.state = Some(SessionState {
-                    clean_source: code,
-                    faults: Vec::new(),
-                });
+                self.state = Some(SessionState::new(code, Vec::new()));
             }
         }
 
@@ -228,6 +253,7 @@ impl SimulatedLlm {
         let introduces_new = self.rng.gen_bool(profile.p_repair_regression);
 
         if let Some(state) = &mut self.state {
+            let mut changed = false;
             if repair_succeeds && !state.faults.is_empty() {
                 // Prefer fixing a fault of the category the error message is about.
                 let preferred = if is_execution_error {
@@ -248,17 +274,22 @@ impl SimulatedLlm {
                     .find_map(|cat| state.faults.iter().position(|f| f.category == *cat))
                     .unwrap_or(0);
                 state.faults.remove(idx);
+                changed = true;
             }
             if introduces_new {
-                let clean = state.clean_source.clone();
-                if let Some(f) = sample_fault(&clean, FaultCategory::Compile, &mut self.rng) {
+                if let Some(f) =
+                    sample_fault(&state.clean_source, FaultCategory::Compile, &mut self.rng)
+                {
                     state.faults.push(f);
+                    changed = true;
                 }
+            }
+            if changed {
+                state.render();
             }
         }
 
-        let rendered = self.render();
-        self.respond_with_code(&rendered, prompt_tokens, overflow)
+        self.respond_with_code(prompt_tokens, overflow)
     }
 
     fn handle_description(&mut self, user_prompt: &str, prompt_tokens: usize) -> LlmResponse {
@@ -459,6 +490,51 @@ int main() {
             llm.active_fault_labels().is_empty(),
             "faults remain: {:?}",
             llm.active_fault_labels()
+        );
+    }
+
+    #[test]
+    fn memoized_response_matches_a_fresh_render_after_every_correction() {
+        // A model that repairs and regresses half the time: faults come and
+        // go, and many corrections change nothing.
+        let mut spec = all_models()[1].clone();
+        spec.profile.p_compile_fault = 1.0;
+        spec.profile.p_repair_success = 0.5;
+        spec.profile.p_repair_regression = 0.5;
+        let mut llm = SimulatedLlm::with_seed(spec, 17);
+        let first = llm.complete(prompts::SYSTEM_CUDA_TO_OPENMP, &translation_prompt());
+        let mut code = extract_code_block(&first.text).unwrap();
+        let (mut added, mut removed, mut unchanged) = (0, 0, 0);
+        for round in 0..64 {
+            let before = llm.active_fault_labels().len();
+            let prompt = PromptDictionary::build_compile_correction_prompt(
+                &code,
+                "clang++ -O3 -fopenmp",
+                "error: use of undeclared identifier",
+            );
+            let resp = llm.complete(prompts::SYSTEM_CUDA_TO_OPENMP, &prompt);
+            let state = llm.state.as_ref().expect("session state");
+            let mut fresh = state.clean_source.clone();
+            for fault in &state.faults {
+                fresh = fault.apply(&fresh);
+            }
+            code = extract_code_block(&resp.text).unwrap();
+            assert_eq!(code, fresh.trim_end(), "round {round}");
+            assert_eq!(resp.text, fence(&fresh), "round {round}");
+            assert_eq!(
+                resp.response_tokens,
+                count_tokens(&resp.text),
+                "round {round}"
+            );
+            match state.faults.len().cmp(&before) {
+                std::cmp::Ordering::Greater => added += 1,
+                std::cmp::Ordering::Less => removed += 1,
+                std::cmp::Ordering::Equal => unchanged += 1,
+            }
+        }
+        assert!(
+            added > 0 && removed > 0 && unchanged > 0,
+            "added {added}, removed {removed}, unchanged {unchanged}"
         );
     }
 
